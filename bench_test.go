@@ -316,7 +316,7 @@ func BenchmarkWriteBack_Sirius(b *testing.B) {
 	}
 }
 
-// ---- E13: record-sharded parallel parsing (internal/parallel) ----
+// ---- E13: record-sharded parallel parsing (segment.Exec) ----
 //
 // The vetting task of E10 sharded across worker goroutines; workers=1 is
 // the parallel engine's overhead floor against BenchmarkFig10_PadsVet.

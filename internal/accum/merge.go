@@ -4,8 +4,8 @@ import "pads/internal/sema"
 
 // Merge folds the profile b into a, so that accumulating a data source in
 // shards and merging the per-shard accumulators produces the same report as
-// one sequential accumulation. internal/parallel calls it once per chunk,
-// in chunk order, which makes the merged report deterministic for a fixed
+// one sequential accumulation. The parallel scans call it once per
+// segment, in segment order (segment.Exec), which makes the merged report deterministic for a fixed
 // worker count.
 //
 // Counts, error tallies, min/max/sum (and therefore the mean), branch and

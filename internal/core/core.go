@@ -24,8 +24,8 @@ import (
 	"pads/internal/fmtconv"
 	"pads/internal/interp"
 	"pads/internal/padsrt"
-	"pads/internal/parallel"
 	"pads/internal/query"
+	"pads/internal/segment"
 	"pads/internal/sema"
 	"pads/internal/telemetry"
 	"pads/internal/telemetry/prof"
@@ -45,11 +45,11 @@ type Description struct {
 	// Policy, when non-nil, applies an error budget and dead-letter sink to
 	// every record scan the description runs (AccumulateReader and the
 	// parallel entry points); see docs/ROBUSTNESS.md. Parallel scans give
-	// each chunk a private interp.Batch and flush into Policy.Sink in chunk
-	// order, so the quarantine file is deterministic at any worker count;
-	// budget thresholds are then enforced on the merged counts at chunk
-	// boundaries (a sequential scan checks per record). Not safe to change
-	// while a parse is running.
+	// each segment a private interp.Batch and flush into Policy.Sink in
+	// segment order, so the quarantine file is deterministic at any worker
+	// count; budget thresholds are then enforced on the merged counts at
+	// segment boundaries (a sequential scan checks per record). Not safe to
+	// change while a parse is running.
 	Policy *interp.Policy
 }
 
@@ -104,7 +104,7 @@ func CompileFile(path string) (*Description, error) {
 // branch histograms — and tr (when non-nil) receives structured trace
 // events. Attach the same st to the input Source (padsrt.WithStats) to also
 // collect its buffer/record/speculation counters; parallel entry points
-// plumb st through internal/parallel so per-worker rows land in st.Workers.
+// fold each segment's counters into st, with per-worker rows in st.Workers.
 // Pass nils to detach. Not safe to call concurrently with a running parse.
 func (d *Description) Observe(st *telemetry.Stats, tr *telemetry.Tracer) {
 	d.Interp.Stats = st
@@ -114,8 +114,8 @@ func (d *Description) Observe(st *telemetry.Stats, tr *telemetry.Tracer) {
 // ObserveProf attaches a parse-path profiler (telemetry/prof) to every parse
 // the description runs: per-node time/byte/error attribution plus latency
 // and record-size histograms. Sequential scans write to p directly; parallel
-// entry points give each chunk a private worker profiler and fold it into p
-// in chunk order. Pass nil to detach. Not safe to call concurrently with a
+// entry points give each segment a private worker profiler and fold it into
+// p in segment order. Pass nil to detach. Not safe to call concurrently with a
 // running parse.
 func (d *Description) ObserveProf(p *prof.Profiler) {
 	d.Interp.Prof = p
@@ -241,84 +241,77 @@ func (d *Description) AccumulateReader(r io.Reader, opts []padsrt.SourceOption, 
 	return acc, n, rr.Err()
 }
 
-// openShards parses the source header sequentially over data and returns
-// the reader (for its record type and header value) plus the parallel
-// options that make each chunk's positions and record numbers match a
-// sequential run: the records region starts where the header ended.
-func (d *Description) openShards(data []byte, opts []padsrt.SourceOption, workers int) (*interp.RecordReader, parallel.Options, int, error) {
+// scanParallel runs an in-memory record scan on the segment executor: the
+// source header parses sequentially over a borrowed source, the region
+// after it is planned for workers (<= 0 means GOMAXPROCS), and each
+// segment's records go through segment.ScanRecords into a consumer that
+// open builds per segment. fold takes the consumers in segment order on the
+// calling goroutine; then the segment's dead letters flush into the
+// policy's sink and its budgets are checked against the merged totals.
+func scanParallel[P any](d *Description, data []byte, opts []padsrt.SourceOption, workers int,
+	open func() (P, func(value.Value)), fold func(P)) (rr *interp.RecordReader, records int, err error) {
 	s := padsrt.NewBorrowedSource(data, opts...)
-	// The header parses sequentially, before any worker starts, so its
-	// source counters can go straight to the observed Stats (and its
-	// profiler spans to the observed profiler).
-	s.SetStats(d.Interp.Stats)
+	// The header parses before any worker starts, so its counters and spans
+	// go straight to the observed Stats and profiler. A borrowed source
+	// never fills: the header's bytes count as read here, the segments'
+	// in Task.Source.
+	st := d.Interp.Stats
+	s.SetStats(st)
 	s.SetProf(d.Interp.Prof)
-	rr, err := d.Records(s, nil)
-	if err != nil {
-		return nil, parallel.Options{}, 0, err
+	if rr, err = d.Records(s, nil); err != nil {
+		return nil, 0, err
 	}
-	base := int(s.Pos().Byte)
-	popts := parallel.Options{
-		Workers: workers,
-		Disc:    s.Discipline(),
-		Source:  opts,
-		Off:     int64(base),
-		Records: s.RecordNum(),
-		Stats:   d.Interp.Stats,
-		Prof:    d.Interp.Prof,
+	base := s.Pos().Byte
+	if st != nil {
+		st.Source.BytesRead += uint64(base)
 	}
-	return rr, popts, base, nil
+	type part struct {
+		p P
+		segment.Part
+	}
+	pol := d.Policy
+	errored := 0
+	err = segment.Exec(segment.PlanBytes(data, base, s.Discipline(), workers), workers, st, d.Interp.Prof,
+		func(t *segment.Task) (part, error) {
+			p, each := open()
+			sc := segment.ScanRecords(rr, t.Source(data[t.Seg.Off:t.Seg.End()], s.RecordNum(), opts), pol, false, each)
+			return part{p, sc}, sc.Err
+		}, nil,
+		func(parts []part) error {
+			for _, pt := range parts {
+				fold(pt.p)
+				records += pt.Records
+				errored += pt.Errored
+				if pt.Batch != nil {
+					pt.Batch.FlushTo(pol.Sink)
+				}
+				if err := pol.Check(records, errored); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	return rr, records, err
 }
 
 // AccumulateParallel is AccumulateReader over an in-memory input,
 // record-sharded across workers (<= 0 means GOMAXPROCS): each worker folds
-// its chunk into a private accumulator, and the shards merge in chunk order
+// its segments into private accumulators, and they merge in segment order
 // (accum.Merge). With workers=1 the report is byte-identical to
 // AccumulateReader's; with more workers counts and numeric statistics are
 // still exact, and the approximate sketches stay within their documented
 // bounds (docs/PARALLEL.md).
 func (d *Description) AccumulateParallel(data []byte, opts []padsrt.SourceOption, cfg accum.Config, workers int) (*accum.Accum, int, error) {
-	rr, popts, base, err := d.openShards(data, opts, workers)
-	if err != nil {
-		return nil, 0, err
-	}
-	type shard struct {
-		acc     *accum.Accum
-		n       int
-		errored int
-		batch   *interp.Batch
-	}
-	pol := d.Policy
 	acc := accum.New(cfg)
-	total, errored := 0, 0
-	err = parallel.Run(data[base:], popts,
-		func(src *padsrt.Source, c parallel.Chunk) (shard, error) {
-			sh := shard{acc: accum.New(cfg)}
-			r := rr.Shard(src)
-			sh.batch = shardPolicy(r, pol)
-			for r.More() {
-				sh.acc.Add(r.Read())
-				sh.n++
-			}
-			_, sh.errored = r.Counts()
-			err := r.Err()
-			if errors.Is(err, io.EOF) {
-				err = nil
-			}
-			return sh, err
-		},
-		func(c parallel.Chunk, sh shard) error {
-			acc.Merge(sh.acc)
-			total += sh.n
-			errored += sh.errored
-			if sh.batch != nil {
-				sh.batch.FlushTo(pol.Sink)
-			}
-			return pol.Check(total, errored)
-		})
+	_, n, err := scanParallel(d, data, opts, workers,
+		func() (*accum.Accum, func(value.Value)) {
+			a := accum.New(cfg)
+			return a, a.Add
+		}, acc.Merge)
 	if err != nil {
-		return nil, total, err
+		return nil, n, err
 	}
-	return acc, total, nil
+	return acc, n, nil
 }
 
 // ParseAllParallel is ParseAll over an in-memory input, record-sharded
@@ -327,59 +320,17 @@ func (d *Description) AccumulateParallel(data []byte, opts []padsrt.SourceOption
 // Psource value a sequential ParseAll builds. It requires a header+records
 // shaped source; callers should fall back to ParseAll when it errors.
 func (d *Description) ParseAllParallel(data []byte, opts []padsrt.SourceOption, workers int) (value.Value, error) {
-	rr, popts, base, err := d.openShards(data, opts, workers)
-	if err != nil {
-		return nil, err
-	}
-	type shard struct {
-		out     []value.Value
-		errored int
-		batch   *interp.Batch
-	}
-	pol := d.Policy
 	var recs []value.Value
-	errored := 0
-	err = parallel.Run(data[base:], popts,
-		func(src *padsrt.Source, c parallel.Chunk) (shard, error) {
-			var sh shard
-			r := rr.Shard(src)
-			sh.batch = shardPolicy(r, pol)
-			for r.More() {
-				sh.out = append(sh.out, r.Read())
-			}
-			_, sh.errored = r.Counts()
-			err := r.Err()
-			if errors.Is(err, io.EOF) {
-				err = nil
-			}
-			return sh, err
+	rr, _, err := scanParallel(d, data, opts, workers,
+		func() (*[]value.Value, func(value.Value)) {
+			out := new([]value.Value)
+			return out, func(v value.Value) { *out = append(*out, v) }
 		},
-		func(c parallel.Chunk, sh shard) error {
-			recs = append(recs, sh.out...)
-			errored += sh.errored
-			if sh.batch != nil {
-				sh.batch.FlushTo(pol.Sink)
-			}
-			return pol.Check(len(recs), errored)
-		})
+		func(out *[]value.Value) { recs = append(recs, *out...) })
 	if err != nil {
 		return nil, err
 	}
 	return d.Interp.AssembleSource(rr.Header(), recs)
-}
-
-// shardPolicy equips one chunk's reader with the dead-letter half of pol:
-// entries buffer in a private Batch (flushed by the merge in chunk order, so
-// the quarantine stream is deterministic at any worker count). Budget
-// thresholds are deliberately NOT given to the shard — workers only see
-// local counts, so the merge enforces them on the folded totals instead.
-func shardPolicy(r *interp.RecordReader, pol *interp.Policy) *interp.Batch {
-	if pol == nil || pol.Sink == nil {
-		return nil
-	}
-	b := &interp.Batch{}
-	r.SetPolicy(&interp.Policy{Sink: b})
-	return b
 }
 
 // ParseAllPolicy is ParseAll with the description's Policy applied. Budgets

@@ -15,12 +15,13 @@ package fig10
 
 import (
 	"bufio"
+	"bytes"
 	"io"
 
 	"pads/internal/baseline"
 	"pads/internal/gen/sirius"
 	"pads/internal/padsrt"
-	"pads/internal/parallel"
+	"pads/internal/segment"
 )
 
 // VetStats aliases the baseline stats type so the two sides report alike.
@@ -44,22 +45,34 @@ func PadsVet(r io.Reader, clean, errOut io.Writer) (VetStats, error) {
 // attach telemetry (padsrt.WithStats) — padsbench uses it to report the
 // runtime counters of an instrumented vetting pass.
 func PadsVetSource(s *padsrt.Source, clean, errOut io.Writer) (VetStats, error) {
-	var st VetStats
+	vetHeader(s, clean)
+	st := vetRecords(s, clean, errOut)
+	return st, s.Err()
+}
 
+// vetHeader parses the source header with full checking and echoes it to
+// clean (when non-nil) if it is clean.
+func vetHeader(s *padsrt.Source, clean io.Writer) error {
 	var hdr sirius.Summary_header_t
 	var hdrPD sirius.Summary_header_tPD
 	sirius.ReadSummary_header_t(s, nil, &hdrPD, &hdr)
-	var buf []byte
-	if clean != nil && hdrPD.PD.Nerr == 0 {
-		buf = sirius.WriteSummary_header_t(buf[:0], &hdr)
-		clean.Write(buf)
+	if clean == nil || hdrPD.PD.Nerr != 0 {
+		return nil
 	}
+	_, err := clean.Write(sirius.WriteSummary_header_t(nil, &hdr))
+	return err
+}
 
+// vetRecords vets every record left in s: the record loop of PadsVetSource
+// and of each PadsVetParallel segment.
+func vetRecords(s *padsrt.Source, clean, errOut io.Writer) VetStats {
+	var st VetStats
 	// Clean records are copied through byte-for-byte (what the task asks
 	// for, and what the go-port and Perl vetters do) rather than
 	// re-serialized field by field; only erroneous records re-serialize,
 	// surfacing the parser's view of what it could salvage.
 	s.SetKeepRecords(true)
+	var buf []byte
 	var e sirius.Entry_t
 	var epd sirius.Entry_tPD
 	for s.More() {
@@ -80,7 +93,7 @@ func PadsVetSource(s *padsrt.Source, clean, errOut io.Writer) (VetStats, error) 
 			}
 		}
 	}
-	return st, s.Err()
+	return st
 }
 
 // selectMask turns off all checking (section 7: "we turn off all error
@@ -102,12 +115,23 @@ func PadsSelect(r io.Reader, w io.Writer, state string) (SelectStats, error) {
 // PadsSelectSource is PadsSelect over a caller-configured Source (see
 // PadsVetSource).
 func PadsSelectSource(s *padsrt.Source, w io.Writer, state string) (SelectStats, error) {
-	var st SelectStats
+	selectHeader(s)
+	st := selectRecords(s, w, state)
+	return st, s.Err()
+}
 
+var selectHdrMask = sirius.NewSummary_header_tMask(padsrt.Set)
+
+func selectHeader(s *padsrt.Source) {
 	var hdr sirius.Summary_header_t
 	var hdrPD sirius.Summary_header_tPD
 	sirius.ReadSummary_header_t(s, selectHdrMask, &hdrPD, &hdr)
+}
 
+// selectRecords runs the selection over every record left in s: the record
+// loop of PadsSelectSource and of each PadsSelectParallel segment.
+func selectRecords(s *padsrt.Source, w io.Writer, state string) SelectStats {
+	var st SelectStats
 	var e sirius.Entry_t
 	var epd sirius.Entry_tPD
 	var buf []byte
@@ -126,71 +150,51 @@ func PadsSelectSource(s *padsrt.Source, w io.Writer, state string) (SelectStats,
 			}
 		}
 	}
-	return st, s.Err()
+	return st
 }
 
-var selectHdrMask = sirius.NewSummary_header_tMask(padsrt.Set)
+// bufferIf returns b as the writer a segment buffers into for w, or nil
+// when w is nil (the output is discarded).
+func bufferIf(w io.Writer, b *bytes.Buffer) io.Writer {
+	if w == nil {
+		return nil
+	}
+	return b
+}
 
 // PadsVetParallel is PadsVet over an in-memory input, record-sharded
-// across workers (internal/parallel). The header parses sequentially; each
-// worker vets its chunk with a private parser and buffers its clean and
-// erroneous output, which the chunk-ordered merge then writes out — so the
-// clean and error streams are byte-identical to PadsVet's for any worker
-// count.
+// across workers on the segment executor (segment.Exec). The header parses
+// sequentially; each worker vets its segments with a private parser and
+// buffers their clean and erroneous output, which commits in segment order
+// — so the clean and error streams are byte-identical to PadsVet's for any
+// worker count.
 func PadsVetParallel(data []byte, clean, errOut io.Writer, workers int) (VetStats, error) {
 	s := padsrt.NewBorrowedSource(data)
 	var st VetStats
-
-	var hdr sirius.Summary_header_t
-	var hdrPD sirius.Summary_header_tPD
-	sirius.ReadSummary_header_t(s, nil, &hdrPD, &hdr)
-	if clean != nil && hdrPD.PD.Nerr == 0 {
-		if _, err := clean.Write(sirius.WriteSummary_header_t(nil, &hdr)); err != nil {
-			return st, err
-		}
+	if err := vetHeader(s, clean); err != nil {
+		return st, err
 	}
-	base := int(s.Pos().Byte)
-
+	base, recs := s.Pos().Byte, s.RecordNum()
 	type shard struct {
 		st         VetStats
-		clean, bad []byte
+		clean, bad bytes.Buffer
 	}
-	err := parallel.Run(data[base:],
-		parallel.Options{Workers: workers, Off: int64(base), Records: s.RecordNum()},
-		func(src *padsrt.Source, c parallel.Chunk) (*shard, error) {
+	err := segment.Exec(segment.PlanBytes(data, base, nil, workers), workers, nil, nil,
+		func(t *segment.Task) (*shard, error) {
+			src := t.Source(data[t.Seg.Off:t.Seg.End()], recs, nil)
 			sh := &shard{}
-			src.SetKeepRecords(true) // raw copy-through, as in PadsVetSource
-			var e sirius.Entry_t
-			var epd sirius.Entry_tPD
-			for src.More() {
-				sirius.ReadEntry_t(src, nil, &epd, &e)
-				sh.st.Records++
-				if epd.PD.Nerr == 0 {
-					sh.st.Clean++
-					if clean != nil {
-						sh.clean = append(sh.clean, src.LastRecord()...)
-						sh.clean = append(sh.clean, '\n')
-					}
-				} else {
-					sh.st.Errors++
-					if errOut != nil {
-						sh.bad = sirius.WriteEntry_t(sh.bad, &e)
-					}
-				}
-			}
+			sh.st = vetRecords(src, bufferIf(clean, &sh.clean), bufferIf(errOut, &sh.bad))
 			return sh, src.Err()
-		},
-		func(c parallel.Chunk, sh *shard) error {
-			st.Records += sh.st.Records
-			st.Clean += sh.st.Clean
-			st.Errors += sh.st.Errors
-			if clean != nil && len(sh.clean) > 0 {
-				if _, err := clean.Write(sh.clean); err != nil {
+		}, nil,
+		func(shs []*shard) error {
+			for _, sh := range shs {
+				st.Records += sh.st.Records
+				st.Clean += sh.st.Clean
+				st.Errors += sh.st.Errors
+				if _, err := sh.clean.WriteTo(clean); err != nil {
 					return err
 				}
-			}
-			if errOut != nil && len(sh.bad) > 0 {
-				if _, err := errOut.Write(sh.bad); err != nil {
+				if _, err := sh.bad.WriteTo(errOut); err != nil {
 					return err
 				}
 			}
@@ -204,44 +208,25 @@ func PadsVetParallel(data []byte, clean, errOut io.Writer, workers int) (VetStat
 // the sequential output.
 func PadsSelectParallel(data []byte, w io.Writer, state string, workers int) (SelectStats, error) {
 	s := padsrt.NewBorrowedSource(data)
-	var st SelectStats
-
-	var hdr sirius.Summary_header_t
-	var hdrPD sirius.Summary_header_tPD
-	sirius.ReadSummary_header_t(s, selectHdrMask, &hdrPD, &hdr)
-	base := int(s.Pos().Byte)
-
+	selectHeader(s)
+	base, recs := s.Pos().Byte, s.RecordNum()
 	type shard struct {
 		st  SelectStats
-		out []byte
+		out bytes.Buffer
 	}
-	err := parallel.Run(data[base:],
-		parallel.Options{Workers: workers, Off: int64(base), Records: s.RecordNum()},
-		func(src *padsrt.Source, c parallel.Chunk) (*shard, error) {
+	var st SelectStats
+	err := segment.Exec(segment.PlanBytes(data, base, nil, workers), workers, nil, nil,
+		func(t *segment.Task) (*shard, error) {
+			src := t.Source(data[t.Seg.Off:t.Seg.End()], recs, nil)
 			sh := &shard{}
-			var e sirius.Entry_t
-			var epd sirius.Entry_tPD
-			for src.More() {
-				sirius.ReadEntry_t(src, selectMask, &epd, &e)
-				sh.st.Records++
-				for i := range e.Events.Elems {
-					if e.Events.Elems[i].State == state {
-						sh.st.Matched++
-						if w != nil {
-							sh.out = padsrt.AppendUint(sh.out, uint64(e.Header.Order_num))
-							sh.out = append(sh.out, '\n')
-						}
-						break
-					}
-				}
-			}
+			sh.st = selectRecords(src, bufferIf(w, &sh.out), state)
 			return sh, src.Err()
-		},
-		func(c parallel.Chunk, sh *shard) error {
-			st.Records += sh.st.Records
-			st.Matched += sh.st.Matched
-			if w != nil && len(sh.out) > 0 {
-				if _, err := w.Write(sh.out); err != nil {
+		}, nil,
+		func(shs []*shard) error {
+			for _, sh := range shs {
+				st.Records += sh.st.Records
+				st.Matched += sh.st.Matched
+				if _, err := sh.out.WriteTo(w); err != nil {
 					return err
 				}
 			}
@@ -254,23 +239,16 @@ func PadsSelectParallel(data []byte, w io.Writer, state string, workers int) (Se
 // workers.
 func PadsCountParallel(data []byte, workers int) (int, error) {
 	n := 0
-	err := parallel.Run(data, parallel.Options{Workers: workers},
-		func(src *padsrt.Source, c parallel.Chunk) (int, error) {
-			m := 0
-			for {
-				ok, err := src.BeginRecord()
-				if err != nil {
-					return m, err
-				}
-				if !ok {
-					return m, nil
-				}
-				src.SkipToEOR()
-				src.EndRecord(nil)
-				m++
+	err := segment.Exec(segment.PlanBytes(data, 0, nil, workers), workers, nil, nil,
+		func(t *segment.Task) (int, error) {
+			return PadsCountSource(t.Source(data[t.Seg.Off:t.Seg.End()], 0, nil))
+		}, nil,
+		func(ms []int) error {
+			for _, m := range ms {
+				n += m
 			}
-		},
-		func(c parallel.Chunk, m int) error { n += m; return nil })
+			return nil
+		})
 	return n, err
 }
 

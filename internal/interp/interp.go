@@ -103,7 +103,7 @@ func NewAST(desc *sema.Desc) *Interp {
 // Clone returns an interpreter over the same checked description and lowered
 // program but with private mutable state: a fresh expression evaluator
 // (evaluation carries call-depth state) and detached observers. It is the
-// compile-once, parse-many primitive — internal/parallel shards and the
+// compile-once, parse-many primitive — segment shards and the
 // padsd registry both clone one compiled description per concurrent parse
 // instead of re-lowering it. A NewAST interpreter's clones stay on the AST
 // walk.

@@ -150,8 +150,8 @@ func (rr *RecordReader) note(v value.Value) value.Value {
 
 // Shard returns a reader that parses records of the same type, under the
 // same mask, from s — without re-parsing the source header. It is the
-// per-chunk reader of internal/parallel: the caller parses the header once
-// sequentially, then gives each worker a Shard over its chunk's source.
+// per-segment reader of the segment executor: the caller parses the header
+// once sequentially, then gives each segment a Shard over its source.
 // The shard gets its own evaluator (expression evaluation carries call-depth
 // state), so shards of one reader may run concurrently.
 //

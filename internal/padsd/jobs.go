@@ -157,6 +157,17 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
+		// Fast path: a manifest owned by a running job answers 409 before
+		// the file is touched — a fresh job may not have written it yet, and
+		// Peek's error would read as a bad request. The check under jobMu
+		// below stays the authoritative one.
+		s.jobMu.Lock()
+		owner, busy := s.jobOwned[manifest]
+		s.jobMu.Unlock()
+		if busy {
+			http.Error(w, fmt.Sprintf("manifest %s is in use by running job %s", filepath.Base(manifest), owner), http.StatusConflict)
+			return
+		}
 		info, err := segment.Peek(manifest)
 		if err != nil {
 			http.Error(w, fmt.Sprintf("resume: %v", err), http.StatusBadRequest)

@@ -94,8 +94,8 @@ func (m *metrics) status(code int) {
 // aggregate under a mutex and renders it on /metrics, so the runtime's
 // source/speculation/intern counters (pads_source_* et al.) describe the
 // daemon's lifetime traffic. Requests never write to it directly — each
-// parse runs with its own Stats (the same discipline internal/parallel
-// uses) and folds once at the end, keeping the hot path lock-free.
+// parse runs with its own Stats (the same discipline segment.Exec uses)
+// and folds once at the end, keeping the hot path lock-free.
 type lockedStats struct {
 	mu sync.Mutex
 	st *telemetry.Stats

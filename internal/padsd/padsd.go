@@ -281,7 +281,7 @@ func (w *respWriter) Write(p []byte) (int, error) {
 
 // wrap is the containment middleware: request metrics plus per-request
 // panic recovery, so one poisoned request can never take the daemon down
-// (the per-chunk analogue is parallel.Run's contain).
+// (the per-segment analogue is segment.Exec's retry).
 func (s *Server) wrap(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		rw := &respWriter{ResponseWriter: w}
@@ -585,8 +585,39 @@ func (s *Server) parseEndpoint(mode parseMode) http.HandlerFunc {
 			http.Error(w, "tenant over rate or stream budget", http.StatusTooManyRequests)
 			return
 		}
-		records, errored := 0, 0
-		defer func() { tn.release(records, errored) }()
+		// settle ends the request's accounting exactly once: it folds the
+		// parse's counts into /metrics, leaves the active gauge, and
+		// releases the tenant. runParse calls it before the response's final
+		// write, so a client that has read a whole response sees counters
+		// that include it; the deferred call covers requests refused or
+		// failed before the parse.
+		var (
+			rr         *interp.RecordReader
+			st         *telemetry.Stats
+			quarBefore uint64
+			active     bool
+			settled    bool
+		)
+		settle := func() {
+			if settled {
+				return
+			}
+			settled = true
+			records, errored := 0, 0
+			if rr != nil {
+				records, errored = rr.Counts()
+				s.met.records.Add(uint64(records))
+				s.met.errored.Add(uint64(errored))
+				s.met.quarantined.Add(tn.quar.total() - quarBefore)
+				s.met.bytesIn.Add(st.Source.BytesRead)
+				s.agg.fold(st)
+			}
+			if active {
+				s.met.active.Add(-1)
+			}
+			tn.release(records, errored)
+		}
+		defer settle()
 
 		select {
 		case s.sem <- struct{}{}:
@@ -604,7 +635,7 @@ func (s *Server) parseEndpoint(mode parseMode) http.HandlerFunc {
 		}
 		defer s.inflight.Done()
 		s.met.active.Add(1)
-		defer s.met.active.Add(-1)
+		active = true
 
 		// Deadline: request context (client disconnect), drain hard-stop,
 		// and the per-request timeout, all reaching the runtime through one
@@ -638,7 +669,7 @@ func (s *Server) parseEndpoint(mode parseMode) http.HandlerFunc {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		st := telemetry.NewStats()
+		st = telemetry.NewStats()
 		opts = append(opts,
 			padsrt.WithLimits(s.cfg.Limits),
 			padsrt.WithRetry(s.cfg.Retry, s.cfg.RetryBackoff),
@@ -651,8 +682,7 @@ func (s *Server) parseEndpoint(mode parseMode) http.HandlerFunc {
 		in := e.desc.Interp.Clone()
 		in.Stats = st
 		e.used()
-		rr, err := in.NewRecordReader(src, nil)
-		if err != nil {
+		if rr, err = in.NewRecordReader(src, nil); err != nil {
 			http.Error(w, fmt.Sprintf("description is not record-streamable: %v", err), http.StatusUnprocessableEntity)
 			return
 		}
@@ -667,22 +697,16 @@ func (s *Server) parseEndpoint(mode parseMode) http.HandlerFunc {
 			Sink:         sink,
 		})
 
-		quarBefore := tn.quar.total()
-		scanErr := s.runParse(mode, w, r, rr)
-		records, errored = rr.Counts()
-		s.met.records.Add(uint64(records))
-		s.met.errored.Add(uint64(errored))
-		s.met.quarantined.Add(tn.quar.total() - quarBefore)
-		s.met.bytesIn.Add(st.Source.BytesRead)
-		s.agg.fold(st)
-		_ = scanErr // responses are finished inside runParse
+		quarBefore = tn.quar.total()
+		s.runParse(mode, w, r, rr, settle) // the response is finished inside
 	}
 }
 
 // runParse drives the record loop for one mode and finishes the response,
 // including the error-to-status mapping when the parse dies before (or
-// during) streaming.
-func (s *Server) runParse(mode parseMode, w http.ResponseWriter, r *http.Request, rr *interp.RecordReader) error {
+// during) streaming. It calls settle once the scan is over and before the
+// response's final write.
+func (s *Server) runParse(mode parseMode, w http.ResponseWriter, r *http.Request, rr *interp.RecordReader, settle func()) error {
 	q := r.URL.Query()
 	switch mode {
 	case modeAccum:
@@ -697,6 +721,7 @@ func (s *Server) runParse(mode parseMode, w http.ResponseWriter, r *http.Request
 			acc.Add(rr.Read())
 			n++
 		}
+		settle()
 		err := rr.Err()
 		if err != nil && !errors.Is(err, io.EOF) {
 			code, msg := s.classify(err)
@@ -763,6 +788,7 @@ func (s *Server) runParse(mode parseMode, w http.ResponseWriter, r *http.Request
 				break
 			}
 		}
+		settle()
 		err := rr.Err()
 		if errors.Is(err, io.EOF) {
 			err = nil

@@ -73,8 +73,8 @@ type Source struct {
 	stats *telemetry.SourceStats
 
 	// prof, when non-nil, is the parse-path profiler riding this source.
-	// The Source only carries it (like tele): internal/parallel installs a
-	// per-chunk profiler here and shard readers (internal/interp) pick it
+	// The Source only carries it (like tele): the segment executor installs
+	// a per-segment profiler here and shard readers (internal/interp) pick it
 	// up, the same private-observer handoff as Stats.
 	prof *prof.Profiler
 
@@ -300,7 +300,7 @@ func NewBytesSource(data []byte, opts ...SourceOption) *Source {
 // NewBorrowedSource parses in-memory data in place, without copying it. The
 // caller must not modify data while the Source is in use; in exchange the
 // window never compacts, so many cursors (one per shard in
-// internal/parallel) can read disjoint slices of one buffer with no
+// segment.Exec) can read disjoint slices of one buffer with no
 // duplication.
 func NewBorrowedSource(data []byte, opts ...SourceOption) *Source {
 	s := NewSource(nil, opts...)
@@ -313,7 +313,7 @@ func NewBorrowedSource(data []byte, opts ...SourceOption) *Source {
 // SetBase declares that the buffer begins partway into a larger input:
 // subsequent Pos calls report byteOff plus the local offset, and record
 // numbering starts after records prior records. It must be called before
-// any parsing; internal/parallel uses it so a sharded parse reports the
+// any parsing; segment.Exec uses it so a sharded parse reports the
 // same error locations and record numbers as a sequential run.
 func (s *Source) SetBase(byteOff int64, records int) {
 	s.off = byteOff
@@ -321,7 +321,7 @@ func (s *Source) SetBase(byteOff int64, records int) {
 }
 
 // SetStats attaches (or, with nil, detaches) a telemetry sink mid-stream.
-// internal/parallel uses it to give every chunk source a private Stats, so
+// segment.Exec uses it to give every segment source a private Stats, so
 // per-worker counters never race.
 func (s *Source) SetStats(st *telemetry.Stats) {
 	s.tele = st
@@ -338,7 +338,7 @@ func (s *Source) SetStats(st *telemetry.Stats) {
 func (s *Source) Stats() *telemetry.Stats { return s.tele }
 
 // SetProf attaches (or, with nil, detaches) a parse-path profiler. Like
-// SetStats it exists so internal/parallel can give every chunk source a
+// SetStats it exists so segment.Exec can give every segment source a
 // private profiler; the Source itself never calls profiler hooks.
 func (s *Source) SetProf(p *prof.Profiler) { s.prof = p }
 

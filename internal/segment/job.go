@@ -8,8 +8,6 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"runtime/debug"
-	"sync"
 	"time"
 
 	"pads/internal/accum"
@@ -57,8 +55,9 @@ type Config struct {
 	// the in-memory parallel path — which enforces budgets on merged totals
 	// — out-of-core budgets apply to each segment independently: the segment
 	// is the fault-isolation boundary, and a segment that exhausts its
-	// budget is poisoned, not fatal. Policy.Sink is ignored (each worker
-	// gets a private batch; entries land in QuarPath at commit).
+	// budget is poisoned, not fatal. Policy.Sink is ignored: each segment
+	// collects its dead letters in a private batch, and they land in
+	// QuarPath at commit (without a QuarPath none are kept or counted).
 	Policy *interp.Policy
 	// QuarPath, when non-empty, receives dead-lettered records as JSONL,
 	// appended and fsync'd per commit batch in segment order.
@@ -81,13 +80,13 @@ type Config struct {
 	OutPath      string
 
 	// Stats, when non-nil, accumulates the job's telemetry: each segment
-	// parses under a private Stats folded in at commit (no worker rows —
-	// a job can have far more segments than a parallel run has chunks).
+	// parses under a private Stats folded in at commit, and Stats.Workers
+	// gains one row per worker goroutine (Exec).
 	Stats *telemetry.Stats
 
-	// Cancel, polled between records (padsrt.Source.SetCancel) and between
-	// segments, aborts the job with a resumable error when it returns
-	// non-nil.
+	// Cancel, polled between records by every source the job builds
+	// (padsrt.WithCancel), aborts the job with a resumable error when it
+	// returns non-nil.
 	Cancel func() error
 
 	// Progress, when non-nil, is called after every commit batch with
@@ -133,21 +132,20 @@ type Report struct {
 // segResult is one parsed segment, produced by a worker, consumed by the
 // coordinator in segment order.
 type segResult struct {
-	seg      Seg
-	records  int
-	errored  int
-	entries  []interp.Entry
-	out      []byte
-	acc      *accum.Accum
-	stats    *telemetry.Stats
-	poison   string // non-empty: the segment is poisoned with this reason
-	fatal    error  // non-nil: the whole job must stop (cancellation, I/O)
-	failures uint64 // contained worker panics (first attempt)
-	rescues  uint64 // retries that then succeeded
+	seg     Seg
+	records int
+	errored int
+	dead    *interp.Batch // dead letters, when the job has a quarantine file
+	out     []byte
+	acc     *accum.Accum
+	poison  string // non-empty: the segment is poisoned with this reason
 }
 
 type job struct {
 	cfg        Config
+	opts       []padsrt.SourceOption // cfg.Source plus the Cancel hook
+	pol        interp.Policy         // per-segment budgets; Sink fills quarBuf
+	quarBuf    bytes.Buffer
 	rr         *interp.RecordReader
 	disc       padsrt.Discipline
 	segSize    int64
@@ -201,13 +199,23 @@ func Run(cfg Config) (*Report, error) {
 		j.cfg.Mode = "emit"
 	}
 
-	// The header parses once, sequentially, over a positional source; its
-	// counters go straight to the job's Stats, mirroring the in-memory
-	// path's openShards.
-	hs := padsrt.NewSectionSource(cfg.Data, 0, cfg.DataSize, cfg.Source...)
-	hs.SetStats(cfg.Stats)
+	j.opts = cfg.Source[:len(cfg.Source):len(cfg.Source)]
 	if cfg.Cancel != nil {
-		hs.SetCancel(cfg.Cancel)
+		j.opts = append(j.opts, padsrt.WithCancel(cfg.Cancel))
+	}
+	if cfg.Policy != nil {
+		j.pol = *cfg.Policy
+	}
+	j.pol.Sink = nil // wired to the quarantine file once it is open
+
+	// The header parses once, sequentially, over a positional source. The
+	// probe reads ahead in fill-sized blocks, but only the header's bytes
+	// count as read here: the segments count the rest (Task.Source).
+	hs := padsrt.NewSectionSource(cfg.Data, 0, cfg.DataSize, j.opts...)
+	var hst *telemetry.Stats
+	if cfg.Stats != nil {
+		hst = telemetry.NewStats()
+		hs.SetStats(hst)
 	}
 	rr, err := cfg.Interp.NewRecordReader(hs, nil)
 	if err != nil {
@@ -215,6 +223,10 @@ func Run(cfg Config) (*Report, error) {
 	}
 	if err := hs.Err(); err != nil {
 		return nil, fmt.Errorf("segment: parse source header: %w", err)
+	}
+	if hst != nil {
+		hst.Source.BytesRead = uint64(hs.Pos().Byte)
+		cfg.Stats.Merge(hst)
 	}
 	j.rr = rr
 	j.disc = hs.Discipline()
@@ -232,6 +244,9 @@ func Run(cfg Config) (*Report, error) {
 			j.m.close()
 		}
 		return nil, err
+	}
+	if j.quarF != nil {
+		j.pol.Sink = interp.NewQuarantine(&j.quarBuf)
 	}
 	if j.m.done != nil {
 		// The job already completed; re-emit its report so a resume racing
@@ -387,14 +402,8 @@ func (j *job) resume() error {
 		if sl.OutOff > lastOut {
 			lastOut = sl.OutOff
 		}
-		if sl.Status == segPoisoned {
-			s := plan.Segs[sl.Index]
-			j.poisoned = append(j.poisoned, PoisonedSeg{
-				Index: sl.Index, Off: s.Off, Len: s.Len, Reason: sl.Reason,
-				Records: sl.Records, Errored: sl.Errs,
-			})
-		}
 	}
+	j.poisoned = j.poisonedFromManifest()
 
 	if j.m.done != nil {
 		// Completed job: the outputs are final (the emit epilogue sits past
@@ -471,50 +480,43 @@ func (j *job) marshalSidecar(through int) ([]byte, error) {
 	})
 }
 
-// restoreAccum reloads the accumulator sidecar and replays any committed
-// segments past its checkpoint (the sidecar is written after its manifest
-// lines, so a crash between the two leaves it at most one batch behind).
-// Replay is accumulator-only: quarantine entries and counts for those
-// segments committed already; re-parsing them is deterministic, so merging
-// only their accumulators reproduces the uninterrupted state.
+// restoreAccum loads the accumulator sidecar into j.acc and replays any
+// committed segments past its checkpoint (the sidecar is written after its
+// manifest lines, so a crash between the two leaves it at most one batch
+// behind; a job whose first batch never committed one has none). Replay is
+// accumulator-only: quarantine entries and counts for those segments
+// committed already; re-parsing them is deterministic, so merging only
+// their accumulators reproduces the uninterrupted state.
 func (j *job) restoreAccum() error {
+	path := sidecarPath(j.cfg.Manifest)
 	through := -1
-	data, err := os.ReadFile(sidecarPath(j.cfg.Manifest))
+	data, err := os.ReadFile(path)
 	switch {
 	case err == nil:
 		var sc sidecarFile
 		if err := json.Unmarshal(data, &sc); err != nil {
-			return fmt.Errorf("segment: sidecar %s corrupt: %v", sidecarPath(j.cfg.Manifest), err)
+			return fmt.Errorf("segment: sidecar %s corrupt: %v", path, err)
 		}
 		if sc.Through < 0 || sc.Through >= len(j.m.segs) {
-			return fmt.Errorf("segment: sidecar %s checkpoints segment %d, manifest committed %d", sidecarPath(j.cfg.Manifest), sc.Through, len(j.m.segs))
+			return fmt.Errorf("segment: sidecar %s checkpoints segment %d, manifest committed %d", path, sc.Through, len(j.m.segs))
 		}
 		if want := j.m.segs[sc.Through].AccHash; want != HashBytes(data) {
-			return fmt.Errorf("segment: sidecar %s does not match its manifest checkpoint", sidecarPath(j.cfg.Manifest))
+			return fmt.Errorf("segment: sidecar %s does not match its manifest checkpoint", path)
 		}
 		if err := json.Unmarshal(sc.Acc, j.acc); err != nil {
-			return fmt.Errorf("segment: sidecar %s accumulator: %v", sidecarPath(j.cfg.Manifest), err)
+			return fmt.Errorf("segment: sidecar %s accumulator: %v", path, err)
 		}
 		through = sc.Through
-	case os.IsNotExist(err):
-		// No sidecar: the first batch never committed one. Replay from 0.
-	default:
+	case !os.IsNotExist(err):
 		return err
 	}
 	if through+1 >= len(j.m.segs) {
 		return nil
 	}
-	buf := []byte(nil)
-	for i := through + 1; i < len(j.m.segs); i++ {
-		res := j.parseSeg(j.plan.Segs[i], &buf)
-		if res.fatal != nil {
-			return fmt.Errorf("segment: replay segment %d: %w", i, res.fatal)
-		}
-		if res.acc != nil {
-			j.acc.Merge(res.acc)
-		}
-		j.replayed++
+	if err := j.replay(j.acc, through+1); err != nil {
+		return err
 	}
+	j.replayed = len(j.m.segs) - (through + 1)
 	// Rewrite the sidecar from the caught-up accumulator: if the remaining
 	// work is empty (the crash landed between the final batch's manifest
 	// append and its sidecar write), run() goes straight to finalize, and
@@ -527,9 +529,7 @@ func (j *job) restoreAccum() error {
 		return err
 	}
 	if HashBytes(sidecar) == j.m.segs[len(j.m.segs)-1].AccHash {
-		if err := atomicio.WriteFile(sidecarPath(j.cfg.Manifest), sidecar, 0o644); err != nil {
-			return err
-		}
+		return atomicio.WriteFile(path, sidecar, 0o644)
 	}
 	return nil
 }
@@ -552,50 +552,13 @@ func (j *job) completedReport() (*Report, error) {
 		// to a sidecar that is one batch behind — or, for a job with zero
 		// segments, next to no sidecar at all. Rather than silently serving a
 		// short accumulator, replay the uncovered segments accumulator-only
-		// (re-parsing is deterministic) and repair the sidecar on disk.
-		acc := accum.New(j.cfg.AccumCfg)
-		through := -1
-		data, err := os.ReadFile(sidecarPath(j.cfg.Manifest))
-		switch {
-		case err == nil:
-			var sc sidecarFile
-			if err := json.Unmarshal(data, &sc); err != nil {
-				return nil, fmt.Errorf("segment: sidecar corrupt: %v", err)
-			}
-			if sc.Through < 0 || sc.Through >= len(j.m.segs) {
-				return nil, fmt.Errorf("segment: sidecar %s checkpoints segment %d, manifest committed %d", sidecarPath(j.cfg.Manifest), sc.Through, len(j.m.segs))
-			}
-			if err := json.Unmarshal(sc.Acc, acc); err != nil {
-				return nil, fmt.Errorf("segment: sidecar accumulator: %v", err)
-			}
-			through = sc.Through
-		case os.IsNotExist(err):
-		default:
-			return nil, fmt.Errorf("segment: completed job's accumulator sidecar: %w", err)
+		// and repair the sidecar on disk.
+		j.acc = accum.New(j.cfg.AccumCfg)
+		j.records, j.errored = rep.Records, rep.Errored
+		if err := j.restoreAccum(); err != nil {
+			return nil, err
 		}
-		if through < len(j.m.segs)-1 {
-			j.acc = acc
-			buf := []byte(nil)
-			for i := through + 1; i < len(j.m.segs); i++ {
-				res := j.parseSeg(j.plan.Segs[i], &buf)
-				if res.fatal != nil {
-					return nil, fmt.Errorf("segment: replay segment %d: %w", i, res.fatal)
-				}
-				if res.acc != nil {
-					acc.Merge(res.acc)
-				}
-				rep.Replayed++
-			}
-			j.records, j.errored = rep.Records, rep.Errored
-			sidecar, err := j.marshalSidecar(len(j.m.segs) - 1)
-			if err != nil {
-				return nil, err
-			}
-			if err := atomicio.WriteFile(sidecarPath(j.cfg.Manifest), sidecar, 0o644); err != nil {
-				return nil, err
-			}
-		}
-		rep.Acc = acc
+		rep.Replayed, rep.Acc = j.replayed, j.acc
 	}
 	return rep, nil
 }
@@ -624,105 +587,65 @@ func (j *job) closeFiles() {
 	}
 }
 
-// parseOnce parses one segment with a contained panic boundary.
-func (j *job) parseOnce(seg Seg, buf *[]byte) (res segResult, panicked error) {
-	defer func() {
-		if p := recover(); p != nil {
-			panicked = fmt.Errorf("segment %d worker panicked: %v\n%s", seg.Index, p, debug.Stack())
+// replay re-parses the committed segments from `from` to the frontier
+// accumulator-only, merging them into acc in segment order: their counts
+// and quarantine entries committed already, and re-parsing is
+// deterministic.
+func (j *job) replay(acc *accum.Accum, from int) error {
+	err := j.exec(j.plan.Segs[from:len(j.m.segs)], nil, nil, func(rs []segResult) error {
+		for _, res := range rs {
+			acc.Merge(res.acc)
 		}
-	}()
-	res = segResult{seg: seg}
+		return nil
+	})
+	if err != nil {
+		return fmt.Errorf("segment: replay: %w", err)
+	}
+	return nil
+}
+
+// exec runs segs on the executor with the job's workers, each reading its
+// segments into a private buffer of its own. failed decides what a
+// segment that panicked twice means (nil: the job fails).
+func (j *job) exec(segs []Seg, st *telemetry.Stats, failed func(Seg, error) (segResult, error), commit func([]segResult) error) error {
+	bufs := make([][]byte, j.cfg.Workers)
+	return Exec(segs, j.cfg.Workers, st, nil, func(t *Task) (segResult, error) {
+		return j.parseSeg(t, &bufs[t.Worker])
+	}, failed, commit)
+}
+
+// parseSeg reads one segment into buf and parses it. Cancellation, a
+// deadline or a failed read stops the job (resumably); any other error
+// poisons the segment, which keeps its partial results.
+func (j *job) parseSeg(t *Task, buf *[]byte) (segResult, error) {
+	seg := t.Seg
+	res := segResult{seg: seg}
 	if int64(cap(*buf)) < seg.Len {
 		*buf = make([]byte, seg.Len)
 	}
 	b := (*buf)[:seg.Len]
 	if _, err := io.ReadFull(io.NewSectionReader(j.cfg.Data, seg.Off, seg.Len), b); err != nil {
-		res.fatal = fmt.Errorf("segment: read segment %d [%d,+%d): %w", seg.Index, seg.Off, seg.Len, err)
-		return res, nil
-	}
-	st := telemetry.NewStats()
-	src := padsrt.NewBorrowedSource(b, j.cfg.Source...)
-	src.SetBase(seg.Off, j.headerRecs+seg.RecBase)
-	src.SetStats(st)
-	if j.cfg.Cancel != nil {
-		src.SetCancel(j.cfg.Cancel)
-	}
-	r := j.rr.Shard(src)
-	var batch *interp.Batch
-	pol := j.cfg.Policy
-	if pol.Active() || j.cfg.QuarPath != "" {
-		batch = &interp.Batch{}
-		p := &interp.Policy{Sink: batch}
-		if pol != nil {
-			p.MaxErrors = pol.MaxErrors
-			p.MaxErrorRate = pol.MaxErrorRate
-			p.RateMin = pol.RateMin
-			p.FailFast = pol.FailFast
-		}
-		r.SetPolicy(p)
+		return res, fmt.Errorf("segment: read segment %d [%d,+%d): %w", seg.Index, seg.Off, seg.Len, err)
 	}
 	var out bytes.Buffer
-	if j.cfg.Emit != nil {
-		for r.More() {
-			j.cfg.Emit(&out, r.Read())
-		}
-	} else {
-		acc := accum.New(j.cfg.AccumCfg)
-		for r.More() {
-			acc.Add(r.Read())
-		}
-		res.acc = acc
+	each := func(v value.Value) { j.cfg.Emit(&out, v) }
+	if j.cfg.Emit == nil {
+		res.acc = accum.New(j.cfg.AccumCfg)
+		each = res.acc.Add
 	}
-	res.records, res.errored = r.Counts()
-	res.out = out.Bytes()
-	if batch != nil {
-		res.entries = batch.Entries
-	}
-	res.stats = st
-
-	err := r.Err()
-	var be *interp.BudgetError
+	p := ScanRecords(j.rr, t.Source(b, j.headerRecs, j.opts), &j.pol, true, each)
+	res.records, res.errored, res.dead, res.out = p.Records, p.Errored, p.Batch, out.Bytes()
+	// A budget, a resource cap (record length, backtrack budget,
+	// speculation limits) or a sticky read error is this segment's data:
+	// isolate the segment. Cancellation and deadlines stop the job.
 	var le *padsrt.LimitError
-	switch {
-	case err == nil:
-	case errors.As(err, &be):
-		res.poison = err.Error()
-	case errors.As(err, &le):
-		if le.Cause != nil {
-			// Cancellation or deadline: the job stops, resumable.
-			res.fatal = err
-		} else {
-			// A resource cap (record length, backtrack budget, speculation
-			// limits): this segment's data tripped it; isolate the segment.
-			res.poison = err.Error()
-		}
-	default:
-		res.poison = err.Error()
+	if errors.As(p.Err, &le) && le.Cause != nil {
+		return res, p.Err
+	}
+	if p.Err != nil {
+		res.poison = p.Err.Error()
 	}
 	return res, nil
-}
-
-// parseSeg parses one segment, retrying a panicked attempt once with fresh
-// state before poisoning the segment with zero contribution.
-func (j *job) parseSeg(seg Seg, buf *[]byte) segResult {
-	if j.cfg.Cancel != nil {
-		if err := j.cfg.Cancel(); err != nil {
-			return segResult{seg: seg, fatal: &padsrt.LimitError{What: "cancelled", Cause: err}}
-		}
-	}
-	res, panicked := j.parseOnce(seg, buf)
-	if panicked == nil {
-		return res
-	}
-	res, again := j.parseOnce(seg, buf)
-	if again == nil {
-		res.failures, res.rescues = 1, 1
-		return res
-	}
-	return segResult{
-		seg: seg, poison: fmt.Sprintf("worker panicked twice; first: %v", panicked),
-		stats: telemetry.NewStats(), failures: 2,
-	}
 }
 
 // commit durably applies a batch of consecutive segment results, in segment
@@ -734,26 +657,25 @@ func (j *job) parseSeg(seg Seg, buf *[]byte) segResult {
 // sidecar is at most one batch behind and resume replays the gap.
 func (j *job) commit(batch []segResult) error {
 	if j.quarF != nil {
-		var buf bytes.Buffer
+		j.quarBuf.Reset()
 		for _, res := range batch {
-			for i := range res.entries {
-				b, err := json.Marshal(&res.entries[i])
-				if err != nil {
-					return err
+			if res.dead != nil {
+				j.quarCount += int64(len(res.dead.Entries))
+				if st := j.cfg.Stats; st != nil {
+					st.Faults.Quarantined += uint64(len(res.dead.Entries))
 				}
-				buf.Write(b)
-				buf.WriteByte('\n')
+				res.dead.FlushTo(j.pol.Sink)
 			}
 		}
-		if buf.Len() > 0 {
-			if _, err := j.quarF.Write(buf.Bytes()); err != nil {
+		if j.quarBuf.Len() > 0 {
+			if _, err := j.quarF.Write(j.quarBuf.Bytes()); err != nil {
 				return err
 			}
 			if err := j.quarF.Sync(); err != nil {
 				return err
 			}
 		}
-		j.quarOff += int64(buf.Len())
+		j.quarOff += int64(j.quarBuf.Len())
 	}
 	if j.outF != nil {
 		n := 0
@@ -778,18 +700,8 @@ func (j *job) commit(batch []segResult) error {
 	for _, res := range batch {
 		j.records += res.records
 		j.errored += res.errored
-		j.quarCount += int64(len(res.entries))
 		if res.acc != nil {
 			j.acc.Merge(res.acc)
-		}
-		if st := j.cfg.Stats; st != nil {
-			if res.stats != nil {
-				st.Merge(res.stats)
-			}
-			st.Faults.ChunkFailures += res.failures
-			st.Faults.ChunkRetries += res.failures
-			st.Faults.ChunkRescues += res.rescues
-			st.Faults.Quarantined += uint64(len(res.entries))
 		}
 		sl := segLine{
 			Index: res.seg.Index, Off: res.seg.Off, Len: res.seg.Len, RecBase: res.seg.RecBase,
@@ -833,99 +745,16 @@ func (j *job) commit(batch []segResult) error {
 	return nil
 }
 
-// run executes the segments past the committed frontier: workers parse,
-// the coordinator commits in segment order, and a dispatch window bounds
-// how many segments are in flight (parsing or awaiting commit) so memory
-// stays O(workers × segment) even when one slow segment holds up the
-// commit order.
+// run executes the segments past the committed frontier on the executor:
+// workers parse, and each contiguous run of finished segments commits in
+// segment order. A segment whose worker panicked twice is poisoned with no
+// contribution.
 func (j *job) run() (*Report, error) {
-	frontier := len(j.m.segs)
-	todo := j.plan.Segs[frontier:]
-	if len(todo) > 0 {
-		workers := j.cfg.Workers
-		if workers > len(todo) {
-			workers = len(todo)
-		}
-		window := make(chan struct{}, 2*workers)
-		jobs := make(chan Seg)
-		results := make(chan segResult, workers)
-		stop := make(chan struct{})
-		var stopOnce sync.Once
-		halt := func() { stopOnce.Do(func() { close(stop) }) }
-
-		go func() {
-			defer close(jobs)
-			for _, seg := range todo {
-				select {
-				case window <- struct{}{}:
-				case <-stop:
-					return
-				}
-				select {
-				case jobs <- seg:
-				case <-stop:
-					return
-				}
-			}
-		}()
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				var buf []byte
-				for seg := range jobs {
-					results <- j.parseSeg(seg, &buf)
-				}
-			}()
-		}
-		go func() {
-			wg.Wait()
-			close(results)
-		}()
-
-		pending := make(map[int]segResult)
-		next := frontier
-		var fatal error
-		for res := range results {
-			if fatal != nil {
-				<-window
-				continue // drain so workers can exit
-			}
-			if res.fatal != nil {
-				fatal = res.fatal
-				halt()
-				<-window
-				continue
-			}
-			pending[res.seg.Index] = res
-			var batch []segResult
-			for {
-				r, ok := pending[next]
-				if !ok {
-					break
-				}
-				delete(pending, next)
-				batch = append(batch, r)
-				next++
-			}
-			if len(batch) == 0 {
-				continue
-			}
-			if err := j.commit(batch); err != nil {
-				fatal = err
-				halt()
-			}
-			for range batch {
-				<-window
-			}
-			if fatal != nil {
-				continue
-			}
-		}
-		if fatal != nil {
-			return nil, fatal
-		}
+	err := j.exec(j.plan.Segs[len(j.m.segs):], j.cfg.Stats, func(seg Seg, err error) (segResult, error) {
+		return segResult{seg: seg, poison: fmt.Sprintf("worker panicked twice: %v", err)}, nil
+	}, j.commit)
+	if err != nil {
+		return nil, err
 	}
 
 	// Everything committed: close the stream and finalize the journal.

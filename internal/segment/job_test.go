@@ -215,8 +215,8 @@ func TestResumeAfterInterrupt(t *testing.T) {
 			// Interrupt only after two committed segments, so even the torn
 			// tail (which can eat the final committed line) leaves at least
 			// one segment for resume to skip. One worker makes the interrupt
-			// deterministic: the per-segment cancel pre-check fires before
-			// the remaining segments parse (more workers could finish every
+			// deterministic: the cancel poll at each segment's first record
+			// fires before the remaining segments parse (more workers could finish every
 			// segment before polling). The resume below uses four workers —
 			// the plan, not the worker count, defines the output.
 			dir := t.TempDir()
@@ -250,6 +250,32 @@ func TestResumeAfterInterrupt(t *testing.T) {
 				t.Error("resumed manifest not finalized")
 			}
 		})
+	}
+}
+
+// TestResumeQuarantinePathFromManifest: the manifest's quarantine path wins
+// over the resuming caller's, so a resume that names none (a bare
+// `-resume MANIFEST`) still appends the rest of the dead letters.
+func TestResumeQuarantinePathFromManifest(t *testing.T) {
+	desc := compileCLF(t)
+	data := clfCorpus(2000)
+	full := oocConfig(t, desc, t.TempDir(), "full", data, 2)
+	if _, err := segment.Run(full); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	cfg := oocConfig(t, desc, dir, "job", data, 1)
+	interruptAfterCommits(&cfg, 2)
+	if _, err := segment.Run(cfg); err == nil {
+		t.Fatal("interrupted run reported success")
+	}
+	resumed := oocConfig(t, desc, dir, "job", data, 2)
+	resumed.Resume, resumed.QuarPath = true, ""
+	if _, err := segment.Run(resumed); err != nil {
+		t.Fatalf("resume: %v", err)
+	}
+	if got, want := readFile(t, cfg.QuarPath), readFile(t, full.QuarPath); !bytes.Equal(got, want) {
+		t.Fatalf("resumed quarantine differs from uninterrupted run (%d vs %d bytes)", len(got), len(want))
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"pads/internal/padsrt"
-	"pads/internal/parallel"
 	"pads/internal/segment"
 )
 
@@ -162,35 +161,6 @@ func TestPlanUnshardableDisciplines(t *testing.T) {
 	for _, disc := range []padsrt.Discipline{padsrt.NoRecords(), &padsrt.CustomDisc{}} {
 		if _, err := segment.PlanSegments(bytes.NewReader(data), 0, int64(len(data)), disc, 8); err == nil {
 			t.Fatalf("%s: expected an error, got a plan", disc.Name())
-		}
-	}
-}
-
-// TestShardAgreesWithCuts: parallel.Shard is a thin wrapper over
-// segment.Cuts (docs/PARALLEL.md); the chunk boundaries must be exactly the
-// cut offsets.
-func TestShardAgreesWithCuts(t *testing.T) {
-	var data []byte
-	for i := 0; i < 400; i++ {
-		data = append(data, fmt.Sprintf("line %d of the shard agreement corpus\n", i)...)
-	}
-	for _, disc := range []padsrt.Discipline{padsrt.Newline(), padsrt.FixedWidth(23)} {
-		for _, n := range []int{1, 2, 3, 4, 8, 64} {
-			chunks := parallel.Shard(data, disc, n)
-			cuts, err := segment.Cuts(bytes.NewReader(data), 0, int64(len(data)), disc, n)
-			if err != nil {
-				t.Fatalf("%s n=%d: %v", disc.Name(), n, err)
-			}
-			if len(chunks) != len(cuts)+1 {
-				t.Fatalf("%s n=%d: %d chunks vs %d cuts", disc.Name(), n, len(chunks), len(cuts))
-			}
-			for i, c := range cuts {
-				next := chunks[i+1]
-				if next.Off != c.Off || next.RecBase != c.Rec {
-					t.Fatalf("%s n=%d: chunk %d at (%d,%d), cut at (%d,%d)",
-						disc.Name(), n, i+1, next.Off, next.RecBase, c.Off, c.Rec)
-				}
-			}
 		}
 	}
 }

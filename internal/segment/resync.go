@@ -1,23 +1,23 @@
-// Package segment is the out-of-core execution layer: it splits an
-// arbitrarily large input into fixed-size segments resynchronized to record
-// boundaries under the active padsrt.Discipline, streams each segment
-// through its own parser worker in O(workers × segment) memory, and commits
-// results through a durable manifest so a killed job resumes where it
-// stopped (docs/ROBUSTNESS.md, "Out-of-core jobs").
+// Package segment is the scan execution layer. It splits an input region
+// into record-aligned segments under the active padsrt.Discipline and runs
+// them on Exec, the ordered executor every multi-segment scan shares: the
+// in-memory -workers scans over borrowed slices, and out-of-core jobs that
+// stream an arbitrarily large file in O(workers × segment) memory and
+// commit through a durable manifest, so a killed job resumes where it
+// stopped (docs/ROBUSTNESS.md, "Out-of-core jobs"; docs/PARALLEL.md).
 //
-// This file holds the boundary resynchronization, generalized from
-// internal/parallel's in-memory []byte cut search to an io.ReaderAt plus
-// length: parallel.Shard is now a thin wrapper over Cuts. The per-discipline
-// rules are unchanged (docs/PARALLEL.md):
+// This file holds the boundary resynchronization over an io.ReaderAt plus
+// length (docs/PARALLEL.md):
 //
 //   - newline: a cut goes just past the next terminator at or beyond each
 //     target offset; the record base is the terminator count before the cut.
 //   - fixed(W): cuts fall on multiples of W, no I/O needed.
 //   - lenprefix: the length headers are walked from the start; cuts fall on
 //     header boundaries at or beyond each target.
-//   - none/custom: no cheap resynchronization exists. Shard degrades to one
-//     chunk; the out-of-core planner refuses (a single unbounded segment
-//     would reintroduce O(input) memory).
+//   - none/custom: no cheap resynchronization exists. The planner refuses:
+//     PlanBytes degrades to one in-memory segment, while an out-of-core job
+//     cannot run (a single unbounded segment would reintroduce O(input)
+//     memory).
 package segment
 
 import (
@@ -28,10 +28,10 @@ import (
 	"pads/internal/padsrt"
 )
 
-// Cut marks a record-aligned split point within a scanned region: a byte
+// cut marks a record-aligned split point within a scanned region: a byte
 // offset (region-relative) that starts a record, plus the number of records
 // before it.
-type Cut struct {
+type cut struct {
 	Off int64
 	Rec int
 }
@@ -91,11 +91,11 @@ func (sc *scanner) advance(n int64) { sc.pos += n }
 
 // newlineCuts resynchronizes each ascending target offset to the next
 // terminator boundary, in one forward pass that also counts terminators so
-// every cut carries its record base. Semantics match the historical
-// in-memory search exactly: a target at or before the previous cut is
-// skipped, a cut that would land at or past the region end stops the scan.
-func newlineCuts(sc *scanner, term byte, targets []int64) ([]Cut, error) {
-	var cuts []Cut
+// every cut carries its record base: a target at or before the previous cut
+// is skipped, and a cut that would land at or past the region end stops the
+// scan.
+func newlineCuts(sc *scanner, term byte, targets []int64) ([]cut, error) {
+	var cuts []cut
 	var prevOff int64
 	rec := 0
 	for _, want := range targets {
@@ -141,36 +141,15 @@ func newlineCuts(sc *scanner, term byte, targets []int64) ([]Cut, error) {
 		if pos >= sc.size {
 			break
 		}
-		cuts = append(cuts, Cut{Off: pos, Rec: rec})
+		cuts = append(cuts, cut{Off: pos, Rec: rec})
 		prevOff = pos
 	}
 	return cuts, nil
 }
 
-// fixedShardCuts places n-way cuts on record-count boundaries of a
-// fixed-width region: pure arithmetic, matching the historical Shard math
-// (cut c falls at record c*records/n).
-func fixedShardCuts(size int64, width int64, n int) []Cut {
-	if width <= 0 {
-		return nil
-	}
-	records := (size + width - 1) / width
-	var cuts []Cut
-	var prevRec int64
-	for c := 1; c < n; c++ {
-		rec := int64(c) * records / int64(n)
-		if rec <= prevRec || rec >= records {
-			continue
-		}
-		cuts = append(cuts, Cut{Off: rec * width, Rec: int(rec)})
-		prevRec = rec
-	}
-	return cuts
-}
-
 // fixedPlanCuts divides a fixed-width region into segments of at least one
 // record and roughly segSize bytes.
-func fixedPlanCuts(size, width, segSize int64) []Cut {
+func fixedPlanCuts(size, width, segSize int64) []cut {
 	if width <= 0 {
 		return nil
 	}
@@ -179,9 +158,9 @@ func fixedPlanCuts(size, width, segSize int64) []Cut {
 		per = 1
 	}
 	records := (size + width - 1) / width
-	var cuts []Cut
+	var cuts []cut
 	for rec := per; rec < records; rec += per {
-		cuts = append(cuts, Cut{Off: rec * width, Rec: int(rec)})
+		cuts = append(cuts, cut{Off: rec * width, Rec: int(rec)})
 	}
 	return cuts
 }
@@ -189,9 +168,8 @@ func fixedPlanCuts(size, width, segSize int64) []Cut {
 // lenPrefixCuts walks the length headers from the start of the region — an
 // O(records) scan that reads only the headers plus block-cache slack — and
 // places cuts on header boundaries: after each record ending at or beyond
-// target bytes since the previous cut. maxCuts < 0 means unlimited (the
-// planner); otherwise at most maxCuts cuts are produced (Shard's n-1).
-func lenPrefixCuts(sc *scanner, d *padsrt.LenPrefixDisc, target int64, maxCuts int) ([]Cut, error) {
+// target bytes since the previous cut.
+func lenPrefixCuts(sc *scanner, d *padsrt.LenPrefixDisc, target int64) ([]cut, error) {
 	if d.HeaderBytes <= 0 {
 		return nil, nil
 	}
@@ -199,11 +177,11 @@ func lenPrefixCuts(sc *scanner, d *padsrt.LenPrefixDisc, target int64, maxCuts i
 		target = 1
 	}
 	hb := int64(d.HeaderBytes)
-	var cuts []Cut
+	var cuts []cut
 	rec := 0
 	nextCut := target
 	hdr := make([]byte, d.HeaderBytes)
-	for sc.pos < sc.size && (maxCuts < 0 || len(cuts) < maxCuts) {
+	for sc.pos < sc.size {
 		if sc.size-sc.pos < hb {
 			break // truncated final header parses as one short record
 		}
@@ -242,39 +220,11 @@ func lenPrefixCuts(sc *scanner, d *padsrt.LenPrefixDisc, target int64, maxCuts i
 		rec++
 		sc.advance(next - sc.pos)
 		if sc.pos >= nextCut && sc.pos < sc.size {
-			cuts = append(cuts, Cut{Off: sc.pos, Rec: rec})
+			cuts = append(cuts, cut{Off: sc.pos, Rec: rec})
 			nextCut = sc.pos + target
 		}
 	}
 	return cuts, sc.err
-}
-
-// Cuts finds record-aligned cut points for an n-way split of the region
-// [off, off+size) of r: the io.ReaderAt generalization of the search behind
-// parallel.Shard, which now wraps it (offsets in the result are relative to
-// off). Disciplines without cheap resynchronization yield no cuts. A nil
-// disc means newline.
-func Cuts(r io.ReaderAt, off, size int64, disc padsrt.Discipline, n int) ([]Cut, error) {
-	if disc == nil {
-		disc = padsrt.Newline()
-	}
-	if n <= 1 || size == 0 {
-		return nil, nil
-	}
-	switch d := disc.(type) {
-	case *padsrt.NewlineDisc:
-		targets := make([]int64, 0, n-1)
-		for c := 1; c < n; c++ {
-			targets = append(targets, int64(c)*size/int64(n))
-		}
-		return newlineCuts(newScanner(r, off, size), d.Term, targets)
-	case *padsrt.FixedDisc:
-		return fixedShardCuts(size, int64(d.Width), n), nil
-	case *padsrt.LenPrefixDisc:
-		return lenPrefixCuts(newScanner(r, off, size), d, size/int64(n), n-1)
-	default:
-		return nil, nil
-	}
 }
 
 // planCuts divides the region into record-aligned segments of roughly
@@ -282,7 +232,7 @@ func Cuts(r io.ReaderAt, off, size int64, disc padsrt.Discipline, n int) ([]Cut,
 // makes its segment longer, never splits). Disciplines without cheap
 // resynchronization return an error: a single unbounded segment would
 // reintroduce the O(input) memory this package exists to avoid.
-func planCuts(r io.ReaderAt, off, size int64, disc padsrt.Discipline, segSize int64) ([]Cut, error) {
+func planCuts(r io.ReaderAt, off, size int64, disc padsrt.Discipline, segSize int64) ([]cut, error) {
 	if disc == nil {
 		disc = padsrt.Newline()
 	}
@@ -299,7 +249,7 @@ func planCuts(r io.ReaderAt, off, size int64, disc padsrt.Discipline, segSize in
 	case *padsrt.FixedDisc:
 		return fixedPlanCuts(size, int64(d.Width), segSize), nil
 	case *padsrt.LenPrefixDisc:
-		return lenPrefixCuts(newScanner(r, off, size), d, segSize, -1)
+		return lenPrefixCuts(newScanner(r, off, size), d, segSize)
 	default:
 		return nil, fmt.Errorf("segment: discipline %s admits no record resynchronization; out-of-core parsing needs newline, fixed, or lenprefix framing", disc.Name())
 	}

@@ -38,7 +38,7 @@ type Plan struct {
 const DefaultSegSize = 8 << 20
 
 // MinSegSize bounds how small a segment buffer may be configured. The floor
-// exists for production sanity, not correctness — tests use planCuts
+// exists for production sanity, not correctness — tests call PlanSegments
 // directly with tiny sizes.
 const MinSegSize = 64 << 10
 
@@ -62,7 +62,7 @@ func PlanSegments(r io.ReaderAt, off, size int64, disc padsrt.Discipline, segSiz
 	if size == 0 {
 		return p, nil
 	}
-	prev := Cut{}
+	prev := cut{}
 	for _, c := range cuts {
 		p.Segs = append(p.Segs, Seg{
 			Index: len(p.Segs), Off: off + prev.Off, Len: c.Off - prev.Off, RecBase: prev.Rec,

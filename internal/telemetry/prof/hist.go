@@ -15,7 +15,7 @@ import (
 //
 // A Hist is a plain value: observing and merging are pure counter arithmetic,
 // so merging per-worker histograms is commutative and associative — folding
-// them in chunk order (internal/parallel) yields a histogram identical to the
+// them in segment order (segment.Exec) yields a histogram identical to the
 // sequential run's, at any worker count. The zero value is empty and ready.
 type Hist struct {
 	N       uint64     `json:"n"`

@@ -13,8 +13,8 @@
 // boundary — so cost scales with the sampling rate, not the input.
 //
 // A Profiler is single-goroutine, like telemetry.Stats: parallel parses give
-// every chunk worker a private Profiler (internal/parallel) and fold them
-// with Merge on the coordinating goroutine in chunk order. All merged
+// every segment a private Profiler (segment.Exec) and fold them with Merge
+// on the coordinating goroutine in segment order. All merged
 // quantities are commutative integer sums, maxima, or histogram bucket
 // counts, so the deterministic parts of a merged profile (counts, bytes,
 // errors, record-size histogram) are identical to a sequential run's at any
@@ -179,7 +179,7 @@ func New(o Options) *Profiler {
 }
 
 // NewWorker builds a fresh Profiler with the same configuration, sharing
-// the parent's Progress sink — the per-chunk profiler of a parallel run.
+// the parent's Progress sink — the per-segment profiler of a parallel run.
 // Fold it back with Merge on the coordinating goroutine.
 func (p *Profiler) NewWorker() *Profiler { return New(p.opts) }
 
@@ -365,7 +365,7 @@ func (p *Profiler) noteHot() {
 
 // Merge folds worker o into p: node stats unify by path, counters add,
 // histograms merge bucket-wise, and the wall window widens. Like
-// telemetry.Stats.Merge it runs on the coordinating goroutine, in chunk
+// telemetry.Stats.Merge it runs on the coordinating goroutine, in segment
 // order; because every merged quantity is commutative, the deterministic
 // fields of the result do not depend on the fold order or worker count. o
 // is left untouched.

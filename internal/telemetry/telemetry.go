@@ -9,7 +9,7 @@
 // the uninstrumented hot path pays one predictable branch and no allocation.
 // A Stats is written by exactly one goroutine (its Source / interpreter);
 // concurrent engines give every worker a private Stats and fold them with
-// Merge on the coordinating goroutine (see internal/parallel).
+// Merge on the coordinating goroutine (see segment.Exec).
 //
 // Counter semantics, the trace event schema, and the overhead guarantee are
 // documented in docs/OBSERVABILITY.md.
@@ -78,9 +78,9 @@ func (s *SourceStats) add(o *SourceStats) {
 // FaultStats counts contained failures: faults that were absorbed by the
 // degradation machinery instead of killing the run (docs/ROBUSTNESS.md).
 type FaultStats struct {
-	ChunkFailures uint64 `json:"chunk_failures,omitempty"` // parallel chunk workers that failed (error or panic)
-	ChunkRetries  uint64 `json:"chunk_retries,omitempty"`  // failed chunks re-parsed sequentially
-	ChunkRescues  uint64 `json:"chunk_rescues,omitempty"`  // sequential re-parses that succeeded
+	ChunkFailures uint64 `json:"chunk_failures,omitempty"` // segment workers that panicked
+	ChunkRetries  uint64 `json:"chunk_retries,omitempty"`  // panicked segments parsed again
+	ChunkRescues  uint64 `json:"chunk_rescues,omitempty"`  // retries that succeeded
 	Quarantined   uint64 `json:"quarantined,omitempty"`    // records written to the dead-letter sink
 }
 
@@ -92,11 +92,11 @@ func (f *FaultStats) add(o *FaultStats) {
 	f.Quarantined += o.Quarantined
 }
 
-// WorkerStat is one worker's share of a parallel run: how many records and
-// bytes its chunk held and how long the chunk took wall-clock, so skew
-// between workers is visible (internal/parallel).
+// WorkerStat is one worker goroutine's share of a parallel run: how many
+// records and bytes its segments held and how long they took wall-clock,
+// so skew between workers is visible (segment.Exec).
 type WorkerStat struct {
-	Worker  int    `json:"worker"` // chunk index, 0-based
+	Worker  int    `json:"worker"` // worker index, 0-based
 	Records uint64 `json:"records"`
 	Bytes   uint64 `json:"bytes"`
 	WallNS  int64  `json:"wall_ns"`
@@ -121,12 +121,12 @@ type Stats struct {
 	// histogram is spread across branches is doing real speculation work.
 	UnionChoices map[string]uint64 `json:"union_choices,omitempty"`
 
-	// Workers holds per-worker utilization rows for parallel runs, in chunk
-	// order; empty for sequential parses.
+	// Workers holds per-worker utilization rows for parallel runs, one per
+	// worker goroutine; empty for sequential parses.
 	Workers []WorkerStat `json:"workers,omitempty"`
 
-	// Faults counts contained failures: chunk-level containment in the
-	// parallel engine and quarantined (dead-lettered) records.
+	// Faults counts contained failures: segment-level panic containment in
+	// the executor and quarantined (dead-lettered) records.
 	Faults FaultStats `json:"faults"`
 }
 
@@ -194,7 +194,7 @@ func (s *Stats) WriteText(w io.Writer) {
 			src.ReadRetries, src.TruncatedRecs)
 	}
 	if f := &s.Faults; f.ChunkFailures+f.ChunkRetries+f.Quarantined > 0 {
-		fmt.Fprintf(w, "contained      %d chunk failures (%d re-parsed, %d rescued), %d records quarantined\n",
+		fmt.Fprintf(w, "contained      %d worker panics (%d retried, %d rescued), %d records quarantined\n",
 			f.ChunkFailures, f.ChunkRetries, f.ChunkRescues, f.Quarantined)
 	}
 	if len(s.FieldErrors) > 0 {
@@ -210,7 +210,7 @@ func (s *Stats) WriteText(w io.Writer) {
 		}
 	}
 	if len(s.Workers) > 0 {
-		fmt.Fprintf(w, "workers        (%d chunks)\n", len(s.Workers))
+		fmt.Fprintf(w, "workers        (%d goroutines)\n", len(s.Workers))
 		for _, ws := range s.Workers {
 			fmt.Fprintf(w, "  worker %-3d %10d records %12d bytes %10.3fms\n",
 				ws.Worker, ws.Records, ws.Bytes, float64(ws.WallNS)/1e6)

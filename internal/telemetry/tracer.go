@@ -38,7 +38,7 @@ type Event struct {
 // tracing a multi-gigabyte source safe: memory stays O(ring), and the tail of
 // the trace (usually where the interesting failure is) survives.
 //
-// A Tracer is safe for concurrent use; sharded parses (internal/parallel)
+// A Tracer is safe for concurrent use; sharded parses (segment.Exec)
 // share one tracer, so events from different workers interleave but each is
 // internally consistent (rebased offsets and record numbers).
 type Tracer struct {

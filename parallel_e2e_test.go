@@ -1,7 +1,7 @@
 package pads_test
 
-// End-to-end determinism tests for the record-sharded parallel engine
-// (internal/parallel): on the synthetic Sirius and CLF corpora, the
+// End-to-end determinism tests for the record-sharded parallel scans on
+// the segment executor (segment.Exec): on the synthetic Sirius and CLF corpora, the
 // parallel paths must produce byte-identical outputs to the sequential
 // ones — with one worker everywhere, and for the order-preserving merges
 // (vet/select/count, ParseAllParallel) at any worker count.

@@ -18,7 +18,7 @@ import (
 	"pads/internal/fault"
 	"pads/internal/interp"
 	"pads/internal/padsrt"
-	"pads/internal/parallel"
+	"pads/internal/segment"
 	"pads/internal/telemetry"
 )
 
@@ -167,9 +167,9 @@ func TestErrorBudgetAborts(t *testing.T) {
 }
 
 // TestParallelContainmentRescue: a worker that panics on its first attempt
-// at one chunk must not kill the run — the chunk is re-parsed on the
-// coordinator, the merged result matches a clean run, and the containment
-// counters record exactly one failure, retry, and rescue.
+// at one segment must not kill the run — the executor retries the segment,
+// the committed result matches a clean run, and the containment counters
+// record exactly one failure, retry, and rescue.
 func TestParallelContainmentRescue(t *testing.T) {
 	data := []byte(strings.Repeat("0123456789abcde\n", 1<<14)) // 256 KiB
 	var mu sync.Mutex
@@ -177,10 +177,13 @@ func TestParallelContainmentRescue(t *testing.T) {
 
 	run := func(poison bool, st *telemetry.Stats) int {
 		total := 0
-		err := parallel.Run(data,
-			parallel.Options{Workers: 4, MinChunk: 1 << 12, Stats: st},
-			func(src *padsrt.Source, c parallel.Chunk) (int, error) {
-				if poison && c.Index == 1 {
+		segs := segment.PlanBytes(data, 0, nil, 4)
+		if len(segs) < 2 {
+			t.Fatalf("planned %d segments, want several", len(segs))
+		}
+		err := segment.Exec(segs, 4, st, nil,
+			func(task *segment.Task) (int, error) {
+				if poison && task.Seg.Index == 1 {
 					mu.Lock()
 					first := !failed
 					failed = true
@@ -189,6 +192,7 @@ func TestParallelContainmentRescue(t *testing.T) {
 						panic("injected worker fault")
 					}
 				}
+				src := task.Source(data[task.Seg.Off:task.Seg.End()], 0, nil)
 				n := 0
 				for src.More() {
 					ok, err := src.BeginRecord()
@@ -203,9 +207,11 @@ func TestParallelContainmentRescue(t *testing.T) {
 					n++
 				}
 				return n, nil
-			},
-			func(c parallel.Chunk, n int) error {
-				total += n
+			}, nil,
+			func(ns []int) error {
+				for _, n := range ns {
+					total += n
+				}
 				return nil
 			})
 		if err != nil {

@@ -6,7 +6,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-unformatted="$(gofmt -l cmd internal examples ./*.go)"
+unformatted="$(gofmt -l cmd internal examples perfbench ./*.go)"
 if [[ -n "$unformatted" ]]; then
     echo "ci: gofmt needed on:" >&2
     echo "$unformatted" >&2
@@ -15,6 +15,10 @@ fi
 
 go vet ./...
 go test -race ./...
+# perfbench is a module of its own, so ./... above does not reach it: run
+# its tests, which feed every benchmark check a broken output and show it
+# is rejected.
+(cd perfbench && go vet ./... && go test ./...)
 
 # Telemetry smoke test: every -stats / -trace / -json flag must run clean on
 # a real corpus and produce the shape its consumers expect.

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Concurrency gate for the record-sharded parallel engine (docs/PARALLEL.md)
-# and the parse daemon (docs/ROBUSTNESS.md): vet the whole module, then run
-# every test under the race detector.
+# Concurrency gate for the segment executor behind the parallel and
+# out-of-core scans (docs/PARALLEL.md) and the parse daemon
+# (docs/ROBUSTNESS.md): vet the whole module, then run every test under the
+# race detector.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 go vet ./...
