@@ -8,6 +8,7 @@ package xmlgen
 import (
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 
 	"pads/internal/dsl"
@@ -45,10 +46,11 @@ func (p *printer) printf(format string, args ...interface{}) {
 
 func (p *printer) ind(n int) string { return strings.Repeat("  ", n) }
 
-func escape(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
-	return r.Replace(s)
-}
+// escaper is built once: a Replacer compiles its lookup table on first use
+// and is safe for concurrent use.
+var escaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
+
+func escape(s string) string { return escaper.Replace(s) }
 
 func (p *printer) value(v value.Value, tag string, indent int) {
 	if v == nil {
@@ -101,9 +103,9 @@ func (p *printer) value(v value.Value, tag string, indent int) {
 func leafText(v value.Value) string {
 	switch v := v.(type) {
 	case *value.Uint:
-		return fmt.Sprintf("%d", v.Val)
+		return strconv.FormatUint(v.Val, 10)
 	case *value.Int:
-		return fmt.Sprintf("%d", v.Val)
+		return strconv.FormatInt(v.Val, 10)
 	case *value.Float:
 		return fmt.Sprintf("%g", v.Val)
 	case *value.Char:
