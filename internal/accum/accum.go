@@ -9,7 +9,9 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"pads/internal/padsrt"
 	"pads/internal/sema"
@@ -55,10 +57,13 @@ type Accum struct {
 	min, max float64
 	sum      float64
 
-	// Distinct-value tracking over good values.
-	counts    map[string]uint64
-	order     []string // insertion order, to bound memory deterministically
-	untracked uint64   // good values seen after the tracker filled
+	// Distinct-value tracking over good values: order[i] is the i-th
+	// distinct value seen (insertion order bounds memory deterministically),
+	// counts[i] how often it was seen, and slot maps it back to i.
+	slot      map[string]int
+	order     []string
+	counts    []uint64
+	untracked uint64 // good values seen after the tracker filled
 
 	// Approximate summaries over good numeric values (the section 9
 	// histogram/quantile extension).
@@ -83,7 +88,7 @@ func newAccum(cfg Config) *Accum {
 	return &Accum{
 		cfg:       cfg,
 		ErrCounts: make(map[padsrt.ErrCode]uint64),
-		counts:    make(map[string]uint64),
+		slot:      make(map[string]int),
 		fields:    make(map[string]*Accum),
 		branches:  make(map[string]uint64),
 	}
@@ -115,19 +120,41 @@ func (a *Accum) Add(v value.Value) {
 		a.Good++
 	}
 
+	// Numeric keys are formatted into buf and looked up without copying;
+	// only a value new to the tracker allocates its key. Each format is
+	// the one fmt gave these keys before: %d, %g, and string(rune(c)).
+	var buf [32]byte
 	switch v := v.(type) {
 	case *value.Uint:
-		a.addNum(float64(v.Val), pd, fmtU(v.Val))
+		if pd.Nerr == 0 {
+			a.addNum(float64(v.Val))
+			a.trackBytes(strconv.AppendUint(buf[:0], v.Val, 10))
+		}
 	case *value.Int:
-		a.addNum(float64(v.Val), pd, fmt.Sprintf("%d", v.Val))
+		if pd.Nerr == 0 {
+			a.addNum(float64(v.Val))
+			a.trackBytes(strconv.AppendInt(buf[:0], v.Val, 10))
+		}
 	case *value.Float:
-		a.addNum(v.Val, pd, fmt.Sprintf("%g", v.Val))
+		if pd.Nerr == 0 {
+			a.addNum(v.Val)
+			a.trackBytes(strconv.AppendFloat(buf[:0], v.Val, 'g', -1, 64))
+		}
 	case *value.Char:
-		a.addNum(float64(v.Val), pd, string(v.Val))
+		if pd.Nerr == 0 {
+			a.addNum(float64(v.Val))
+			a.trackBytes(utf8.AppendRune(buf[:0], rune(v.Val)))
+		}
 	case *value.Date:
-		a.addNum(float64(v.Sec), pd, v.Raw)
+		if pd.Nerr == 0 {
+			a.addNum(float64(v.Sec))
+			a.track(v.Raw)
+		}
 	case *value.IP:
-		a.addNum(float64(v.Val), pd, padsrt.FormatIP(v.Val))
+		if pd.Nerr == 0 {
+			a.addNum(float64(v.Val))
+			a.trackBytes(padsrt.AppendIP(buf[:0], v.Val))
+		}
 	case *value.Str:
 		if pd.Nerr == 0 {
 			a.track(v.Val)
@@ -149,8 +176,7 @@ func (a *Accum) Add(v value.Value) {
 		if a.length == nil {
 			a.length = newAccum(a.cfg)
 		}
-		lv := &value.Uint{Val: uint64(len(v.Elems)), Bits: 32}
-		a.length.Add(lv)
+		a.length.addLength(len(v.Elems))
 		if a.elem == nil {
 			a.elem = newAccum(a.cfg)
 		}
@@ -167,12 +193,19 @@ func (a *Accum) Add(v value.Value) {
 	}
 }
 
-func fmtU(v uint64) string { return fmt.Sprintf("%d", v) }
+// addLength folds an array length into a length accumulator exactly as
+// Add folds a clean, untyped Uint of that value, without building one.
+func (a *Accum) addLength(n int) {
+	a.kind, a.typ = sema.KUint, ""
+	a.Good++
+	a.addNum(float64(n))
+	var buf [20]byte
+	a.trackBytes(strconv.AppendUint(buf[:0], uint64(n), 10))
+}
 
-func (a *Accum) addNum(f float64, pd *padsrt.PD, key string) {
-	if pd.Nerr > 0 {
-		return
-	}
+// addNum folds a good numeric value into the min/max/sum statistics and the
+// approximate summaries.
+func (a *Accum) addNum(f float64) {
 	if !a.sawNum || f < a.min {
 		a.min = f
 	}
@@ -187,20 +220,36 @@ func (a *Accum) addNum(f float64, pd *padsrt.PD, key string) {
 	}
 	a.hist.add(f)
 	a.res.add(f)
-	a.track(key)
 }
 
+// track counts one good value in the distinct-value tracker.
 func (a *Accum) track(key string) {
-	if n, ok := a.counts[key]; ok {
-		a.counts[key] = n + 1
-		return
-	}
-	if len(a.counts) >= a.cfg.MaxTracked {
+	if i, ok := a.slot[key]; ok {
+		a.counts[i]++
+	} else if len(a.order) < a.cfg.MaxTracked {
+		a.insert(key, 1)
+	} else {
 		a.untracked++
-		return
 	}
-	a.counts[key] = 1
+}
+
+// trackBytes is track for a key formatted into a scratch buffer: the lookup
+// converts it without copying, so only an insert allocates the key.
+func (a *Accum) trackBytes(key []byte) {
+	if i, ok := a.slot[string(key)]; ok {
+		a.counts[i]++
+	} else if len(a.order) < a.cfg.MaxTracked {
+		a.insert(string(key), 1)
+	} else {
+		a.untracked++
+	}
+}
+
+// insert appends a value new to the tracker with count n.
+func (a *Accum) insert(key string, n uint64) {
+	a.slot[key] = len(a.order)
 	a.order = append(a.order, key)
+	a.counts = append(a.counts, n)
 }
 
 // Total is the number of values (good and bad) folded in.
@@ -232,7 +281,7 @@ func (a *Accum) Field(name string) *Accum { return a.fields[name] }
 func (a *Accum) Elem() *Accum { return a.elem }
 
 // Distinct is the number of distinct (tracked) values seen.
-func (a *Accum) Distinct() int { return len(a.counts) }
+func (a *Accum) Distinct() int { return len(a.order) }
 
 // TrackedPcnt is the percentage of good values that hit the tracker.
 func (a *Accum) TrackedPcnt() float64 {
@@ -252,9 +301,9 @@ type kv struct {
 }
 
 func (a *Accum) top(n int) []kv {
-	all := make([]kv, 0, len(a.counts))
-	for k, c := range a.counts {
-		all = append(all, kv{k, c})
+	all := make([]kv, len(a.order))
+	for i, k := range a.order {
+		all[i] = kv{k, a.counts[i]}
 	}
 	sort.Slice(all, func(i, j int) bool {
 		if all[i].n != all[j].n {
@@ -338,7 +387,7 @@ func (a *Accum) report(w io.Writer, path string) {
 			a.hist.report(w)
 		}
 	}
-	if len(a.counts) > 0 {
+	if len(a.order) > 0 {
 		top := a.top(a.cfg.TopN)
 		fmt.Fprintf(w, "top %d values out of %d distinct values:\n", len(top), a.Distinct())
 		fmt.Fprintf(w, "tracked %.3f%% of values\n", a.TrackedPcnt())

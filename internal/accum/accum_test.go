@@ -1,13 +1,16 @@
 package accum
 
 import (
+	"bytes"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"pads/internal/datagen"
 	"pads/internal/dsl"
 	"pads/internal/interp"
 	"pads/internal/padsrt"
@@ -255,4 +258,100 @@ func intVal(v int64) value.Value {
 	u := &value.Int{Val: v, Bits: 32}
 	u.Type = "Pint32"
 	return u
+}
+
+// TestAddAllocs pins the accumulator's allocation budget. Numeric keys and
+// array lengths are formatted into a stack buffer and looked up without
+// copying, so folding records whose values the tracker already holds, or
+// values it has no room left for, allocates nothing: only a key new to a
+// tracker with room is copied. The CLF records add IP, char, date and enum
+// keys to Sirius's integers, strings, unions, options and arrays.
+func TestAddAllocs(t *testing.T) {
+	var sirius, clf bytes.Buffer
+	cfg := datagen.DefaultSirius(20)
+	cfg.SortViolations, cfg.SyntaxErrors = 0, 0
+	if _, err := datagen.Sirius(&sirius, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := datagen.CLF(&clf, datagen.DefaultCLF(20)); err != nil {
+		t.Fatal(err)
+	}
+	addAll := func(a *Accum, vals []value.Value) func() {
+		return func() {
+			for _, v := range vals {
+				a.Add(v)
+			}
+		}
+	}
+	for _, c := range []struct {
+		desc string
+		data []byte
+	}{{"sirius.pads", sirius.Bytes()}, {"clf.pads", clf.Bytes()}} {
+		rr, err := compileFile(t, c.desc).NewRecordReader(padsrt.NewBytesSource(c.data), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var recs []value.Value
+		for rr.More() {
+			recs = append(recs, rr.Read())
+		}
+		seen := New(DefaultConfig())
+		// Fill every quantile reservoir first: until a component's
+		// sample holds reservoirSize values, appending to it may grow it.
+		for i := 0; i < reservoirSize; i++ {
+			addAll(seen, recs)()
+		}
+		if n := testing.AllocsPerRun(10, addAll(seen, recs)); n != 0 {
+			t.Errorf("%s: adding %d already-seen records allocates %.1f times, want 0", c.desc, len(recs), n)
+		}
+	}
+
+	full := New(Config{MaxTracked: 4})
+	vals := make([]value.Value, 2*reservoirSize)
+	for i := range vals {
+		vals[i] = uintVal(uint64(i))
+	}
+	addAll(full, vals[:reservoirSize])()
+	if n := testing.AllocsPerRun(10, addAll(full, vals[reservoirSize:])); n != 0 {
+		t.Errorf("adding %d values to a full tracker allocates %.1f times, want 0", reservoirSize, n)
+	}
+}
+
+// TestNumericKeysMatchFmt: the tracker keys Add formats without fmt are
+// the strings fmt made of the same values, so reports are unchanged.
+func TestNumericKeysMatchFmt(t *testing.T) {
+	key := func(v value.Value) string {
+		a := New(DefaultConfig())
+		a.Add(v)
+		if len(a.order) != 1 {
+			t.Fatalf("%s tracked %d keys, want 1", value.String(v), len(a.order))
+		}
+		return a.order[0]
+	}
+	for _, u := range []uint64{0, 7, 1 << 32, math.MaxUint64} {
+		if got, want := key(&value.Uint{Val: u}), fmt.Sprintf("%d", u); got != want {
+			t.Errorf("uint key %q, want %q", got, want)
+		}
+	}
+	for _, i := range []int64{0, -1, 42, math.MinInt64, math.MaxInt64} {
+		if got, want := key(&value.Int{Val: i}), fmt.Sprintf("%d", i); got != want {
+			t.Errorf("int key %q, want %q", got, want)
+		}
+	}
+	for _, f := range []float64{0, math.Copysign(0, -1), 0.1, -2.5, 1e21, 1e-7, 123456789, math.MaxFloat64,
+		math.SmallestNonzeroFloat64, -2.2250738585072014e-308, math.Inf(1), math.Inf(-1), math.NaN()} {
+		if got, want := key(&value.Float{Val: f}), fmt.Sprintf("%g", f); got != want {
+			t.Errorf("float key %q, want %q", got, want)
+		}
+	}
+	for _, c := range []byte{0, '-', 'a', 0x7f, 0x80, 0xe9, 0xff} {
+		if got, want := key(&value.Char{Val: c}), string(rune(c)); got != want {
+			t.Errorf("char key %q, want %q", got, want)
+		}
+	}
+	for _, ip := range []uint32{0, 0x87cf1720, math.MaxUint32} {
+		if got, want := key(&value.IP{Val: ip}), padsrt.FormatIP(ip); got != want {
+			t.Errorf("ip key %q, want %q", got, want)
+		}
+	}
 }

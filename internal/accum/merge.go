@@ -64,13 +64,12 @@ func (a *Accum) Merge(b *Accum) {
 
 	// Tracked values, in b's insertion order so first-seen order is global
 	// chunk order — the same order a sequential accumulation would record.
-	for _, k := range b.order {
-		n := b.counts[k]
-		if cur, ok := a.counts[k]; ok {
-			a.counts[k] = cur + n
-		} else if len(a.counts) < a.cfg.MaxTracked {
-			a.counts[k] = n
-			a.order = append(a.order, k)
+	for j, k := range b.order {
+		n := b.counts[j]
+		if i, ok := a.slot[k]; ok {
+			a.counts[i] += n
+		} else if len(a.order) < a.cfg.MaxTracked {
+			a.insert(k, n)
 		} else {
 			a.untracked += n
 		}

@@ -74,8 +74,11 @@ func (a *Accum) MarshalJSON() ([]byte, error) {
 	if len(a.ErrCounts) > 0 {
 		s.ErrCounts = a.ErrCounts
 	}
-	if len(a.counts) > 0 {
-		s.Counts = a.counts
+	if len(a.order) > 0 {
+		s.Counts = make(map[string]uint64, len(a.order))
+		for i, k := range a.order {
+			s.Counts[k] = a.counts[i]
+		}
 		s.Order = a.order
 	}
 	if len(a.fields) > 0 {
@@ -119,11 +122,20 @@ func (a *Accum) UnmarshalJSON(data []byte) error {
 	if a.ErrCounts == nil {
 		a.ErrCounts = make(map[padsrt.ErrCode]uint64)
 	}
-	a.counts = s.Counts
-	if a.counts == nil {
-		a.counts = make(map[string]uint64)
+	if len(s.Order) != len(s.Counts) {
+		return fmt.Errorf("accum: snapshot tracker order lists %d values for %d counts", len(s.Order), len(s.Counts))
 	}
-	a.order = s.Order
+	a.slot = make(map[string]int, len(s.Order))
+	for _, k := range s.Order {
+		n, ok := s.Counts[k]
+		if !ok {
+			return fmt.Errorf("accum: snapshot tracked value %q has no count", k)
+		}
+		if _, dup := a.slot[k]; dup {
+			return fmt.Errorf("accum: snapshot tracker lists %q twice", k)
+		}
+		a.insert(k, n)
+	}
 	a.fields = s.Fields
 	if a.fields == nil {
 		a.fields = make(map[string]*Accum)

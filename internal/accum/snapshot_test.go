@@ -106,3 +106,34 @@ func TestSnapshotContinuation(t *testing.T) {
 		t.Fatalf("snapshot+merge diverged from merge:\n--- want ---\n%s\n--- got ---\n%s", want, got)
 	}
 }
+
+// TestSnapshotRejectsInconsistentTracker: a snapshot read back from disk
+// must list each tracked value once in its order and give it a count, or
+// the restored tracker's positions would not match its counts.
+func TestSnapshotRejectsInconsistentTracker(t *testing.T) {
+	enc, err := json.Marshal(New(DefaultConfig()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var base map[string]any
+	if err := json.Unmarshal(enc, &base); err != nil {
+		t.Fatal(err)
+	}
+	for name, tc := range map[string]struct {
+		order  []string
+		counts map[string]uint64
+	}{
+		"uncounted value": {[]string{"a", "b"}, map[string]uint64{"a": 1, "c": 2}},
+		"listed twice":    {[]string{"a", "a"}, map[string]uint64{"a": 1, "b": 2}},
+		"unlisted count":  {[]string{"a"}, map[string]uint64{"a": 1, "b": 2}},
+	} {
+		base["order"], base["counts"] = tc.order, tc.counts
+		bad, err := json.Marshal(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(bad, New(DefaultConfig())); err == nil {
+			t.Errorf("%s: snapshot with order %v and counts %v restored without error", name, tc.order, tc.counts)
+		}
+	}
+}

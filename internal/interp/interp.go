@@ -26,9 +26,11 @@ import (
 // dotted field path and histograms union branch selection; Tracer emits one
 // structured event per parsing decision (docs/OBSERVABILITY.md). Both default
 // to nil, which costs one branch per decision and nothing else. An Interp is
-// single-goroutine; sharded parses give each worker its own (see
-// RecordReader.Shard, which routes the shard's counters to its chunk
-// source's Stats).
+// single-goroutine: besides the evaluator's call-depth state it owns the
+// VM's chunks of leaf value nodes, which are per-Interp and unsynchronized.
+// That is why sharded parses, segment workers, and padsd requests each parse
+// on their own Clone (see RecordReader.Shard, which also routes the shard's
+// counters to its chunk source's Stats).
 type Interp struct {
 	Desc   *sema.Desc
 	Ev     *expr.Evaluator
@@ -52,6 +54,8 @@ type Interp struct {
 	prog *ir.Program
 
 	path []string // dotted field path stack, maintained only while observing
+
+	leaves leaves // the VM's chunks of pointer-free value nodes (alloc.go)
 }
 
 // observing reports whether any telemetry consumer is attached.
@@ -102,11 +106,11 @@ func NewAST(desc *sema.Desc) *Interp {
 
 // Clone returns an interpreter over the same checked description and lowered
 // program but with private mutable state: a fresh expression evaluator
-// (evaluation carries call-depth state) and detached observers. It is the
-// compile-once, parse-many primitive — segment shards and the
-// padsd registry both clone one compiled description per concurrent parse
-// instead of re-lowering it. A NewAST interpreter's clones stay on the AST
-// walk.
+// (evaluation carries call-depth state), its own leaf chunks, and detached
+// observers. It is the compile-once, parse-many primitive — segment shards
+// and the padsd registry both clone one compiled description per concurrent
+// parse instead of re-lowering it. A NewAST interpreter's clones stay on the
+// AST walk.
 func (in *Interp) Clone() *Interp {
 	return &Interp{Desc: in.Desc, Ev: expr.New(in.Desc), prog: in.prog}
 }

@@ -47,12 +47,12 @@ func (in *Interp) execDecl(decl ir.DeclID, s *padsrt.Source, mask *padsrt.MaskNo
 	if n.Flags&ir.FRecord != 0 && !s.InRecord() {
 		ok, err := s.BeginRecord()
 		if err != nil {
-			v := &value.Void{Common: value.NewCommon(di.Name)}
+			v := in.leaves.void(di.Name)
 			v.PD().SetError(padsrt.ErrIO, padsrt.Loc{Begin: s.Pos(), End: s.Pos()})
 			return v
 		}
 		if !ok {
-			v := &value.Void{Common: value.NewCommon(di.Name)}
+			v := in.leaves.void(di.Name)
 			v.PD().SetError(padsrt.ErrAtEOF, padsrt.Loc{Begin: s.Pos(), End: s.Pos()})
 			return v
 		}
@@ -96,7 +96,7 @@ func (in *Interp) execBody(id ir.NodeID, s *padsrt.Source, mask *padsrt.MaskNode
 	}
 	switch n.Op {
 	case ir.OpStruct:
-		return in.execStruct(n, s, mask, env)
+		return in.execStruct(id, s, mask, env)
 	case ir.OpUnion:
 		return in.execUnion(n, s, mask, env)
 	case ir.OpSwitch:
@@ -108,7 +108,7 @@ func (in *Interp) execBody(id ir.NodeID, s *padsrt.Source, mask *padsrt.MaskNode
 	case ir.OpTypedef:
 		return in.execTypedef(n, s, mask, env)
 	}
-	v := &value.Void{Common: value.NewCommon(di.Name)}
+	v := in.leaves.void(di.Name)
 	v.PD().SetError(padsrt.ErrInternal, padsrt.Loc{})
 	return v
 }
@@ -143,7 +143,7 @@ func (in *Interp) execRef(id ir.NodeID, s *padsrt.Source, mask *padsrt.MaskNode,
 			for _, eid := range list {
 				av, err := in.Ev.Eval(p.Exprs[eid], env)
 				if err != nil {
-					v := &value.Void{Common: value.NewCommon(n.Name)}
+					v := in.leaves.void(n.Name)
 					v.PD().SetError(padsrt.ErrBadParam, padsrt.Loc{Begin: s.Pos(), End: s.Pos()})
 					return v
 				}
@@ -153,7 +153,7 @@ func (in *Interp) execRef(id ir.NodeID, s *padsrt.Source, mask *padsrt.MaskNode,
 		return in.execDecl(n.A, s, mask, args)
 	case ir.OpOpt:
 		child := n.A
-		opt := &value.Opt{Common: value.NewCommon("Popt " + n.Name)}
+		opt := &value.Opt{Common: value.NewCommon(p.OptTypes[id])}
 		// Trial protection by tier (the generated code makes the same
 		// moves): an atomic inner type consumes nothing on failure, so the
 		// trial needs no checkpoint; a rewindable one consumes only by
@@ -189,18 +189,15 @@ func (in *Interp) execRef(id ir.NodeID, s *padsrt.Source, mask *padsrt.MaskNode,
 		opt.Present = false
 		return opt
 	}
-	v := &value.Void{Common: value.NewCommon(n.Name)}
+	v := in.leaves.void(n.Name)
 	v.PD().SetError(padsrt.ErrInternal, padsrt.Loc{Begin: s.Pos(), End: s.Pos()})
 	return v
 }
 
-func (in *Interp) execStruct(n *ir.Node, s *padsrt.Source, mask *padsrt.MaskNode, env *expr.Env) value.Value {
+func (in *Interp) execStruct(id ir.NodeID, s *padsrt.Source, mask *padsrt.MaskNode, env *expr.Env) value.Value {
 	p := in.prog
-	st := &value.Struct{Common: value.NewCommon(n.Name)}
-	if n.D > 0 {
-		st.Names = make([]string, 0, n.D)
-		st.Fields = make([]value.Value, 0, n.D)
-	}
+	n := &p.Nodes[id]
+	st := newStruct(n.Name, int(n.D))
 	pd := st.PD()
 	for _, kid := range p.KidsOf(n) {
 		k := &p.Nodes[kid]
@@ -252,7 +249,6 @@ func (in *Interp) execStruct(n *ir.Node, s *padsrt.Source, mask *padsrt.MaskNode
 			in.path = in.path[:len(in.path)-1]
 		}
 		pd.AddChildErrors(fv.PD(), padsrt.ErrStructField)
-		st.Names = append(st.Names, k.Name)
 		st.Fields = append(st.Fields, fv)
 		if env != nil {
 			env.Bind(k.Name, expr.FromValue(fv))
@@ -264,6 +260,9 @@ func (in *Interp) execStruct(n *ir.Node, s *padsrt.Source, mask *padsrt.MaskNode
 			pd.SetError(padsrt.ErrWhere, padsrt.Loc{Begin: s.Pos(), End: s.Pos()})
 		}
 	}
+	// Names is set once the fields are all in, so a struct never shows
+	// more names than fields.
+	st.Names = p.FieldNames[id]
 	return st
 }
 
@@ -557,7 +556,8 @@ done:
 func (in *Interp) execEnum(n *ir.Node, s *padsrt.Source) value.Value {
 	p := in.prog
 	spec := &p.Enums[n.A]
-	en := &value.Enum{Common: value.NewCommon(n.Name), Index: -1}
+	en := in.leaves.enums.next()
+	en.Type, en.Index = n.Name, -1
 	begin := s.Pos()
 	// Alts are pre-sorted longest-repr first: the first match is what the
 	// reference walk's best-match scan would pick.
@@ -629,7 +629,8 @@ func (in *Interp) execBase(b *ir.BaseSpec, s *padsrt.Source, mask *padsrt.MaskNo
 
 	switch b.Read {
 	case ir.RChar, ir.RAChar, ir.REChar, ir.RBChar:
-		v := &value.Char{Common: value.NewCommon(name)}
+		v := in.leaves.chars.next()
+		v.Type = name
 		if b.BadParam {
 			return fail(v, padsrt.ErrBadParam)
 		}
@@ -652,7 +653,8 @@ func (in *Interp) execBase(b *ir.BaseSpec, s *padsrt.Source, mask *padsrt.MaskNo
 		return v
 
 	case ir.RUint, ir.RAUint, ir.REUint, ir.RBUint, ir.RUintFW, ir.RAUintFW:
-		v := &value.Uint{Common: value.NewCommon(name), Bits: b.Bits}
+		v := in.leaves.uints.next()
+		v.Type, v.Bits = name, b.Bits
 		if b.BadParam {
 			return fail(v, padsrt.ErrBadParam)
 		}
@@ -685,7 +687,8 @@ func (in *Interp) execBase(b *ir.BaseSpec, s *padsrt.Source, mask *padsrt.MaskNo
 		return v
 
 	case ir.RInt, ir.RAInt, ir.REInt, ir.RBInt, ir.RAIntFW, ir.RBCD, ir.RZoned:
-		v := &value.Int{Common: value.NewCommon(name), Bits: b.Bits}
+		v := in.leaves.ints.next()
+		v.Type, v.Bits = name, b.Bits
 		if b.BadParam {
 			return fail(v, padsrt.ErrBadParam)
 		}
@@ -721,7 +724,8 @@ func (in *Interp) execBase(b *ir.BaseSpec, s *padsrt.Source, mask *padsrt.MaskNo
 		return v
 
 	case ir.RAFloat:
-		v := &value.Float{Common: value.NewCommon(name), Bits: b.Bits}
+		v := in.leaves.floats.next()
+		v.Type, v.Bits = name, b.Bits
 		f, code := padsrt.ReadAFloat(s, b.Bits)
 		if code != padsrt.ErrNone {
 			return fail(v, code)
@@ -730,7 +734,8 @@ func (in *Interp) execBase(b *ir.BaseSpec, s *padsrt.Source, mask *padsrt.MaskNo
 		return v
 
 	case ir.RStringTerm, ir.RStringEOR, ir.RStringFW, ir.RStringME, ir.RStringSE, ir.RHostname, ir.RZip:
-		v := &value.Str{Common: value.NewCommon(name)}
+		v := in.leaves.strs.next()
+		v.Type = name
 		if b.BadParam {
 			return fail(v, padsrt.ErrBadParam)
 		}
@@ -767,7 +772,8 @@ func (in *Interp) execBase(b *ir.BaseSpec, s *padsrt.Source, mask *padsrt.MaskNo
 		return v
 
 	case ir.RDate:
-		v := &value.Date{Common: value.NewCommon(name)}
+		v := in.leaves.dates.next()
+		v.Type = name
 		var term byte
 		if b.TermChar {
 			t, c := charArg(b.Term)
@@ -785,7 +791,8 @@ func (in *Interp) execBase(b *ir.BaseSpec, s *padsrt.Source, mask *padsrt.MaskNo
 		return v
 
 	case ir.RIP:
-		v := &value.IP{Common: value.NewCommon(name)}
+		v := in.leaves.ips.next()
+		v.Type = name
 		ip, code := padsrt.ReadIP(s)
 		if code != padsrt.ErrNone {
 			return fail(v, code)
@@ -794,8 +801,7 @@ func (in *Interp) execBase(b *ir.BaseSpec, s *padsrt.Source, mask *padsrt.MaskNo
 		return v
 
 	case ir.RVoid:
-		return &value.Void{Common: value.NewCommon(name)}
+		return in.leaves.void(name)
 	}
-	v := &value.Void{Common: value.NewCommon(name)}
-	return fail(v, padsrt.ErrInternal)
+	return fail(in.leaves.void(name), padsrt.ErrInternal)
 }

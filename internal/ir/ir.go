@@ -329,6 +329,15 @@ type Program struct {
 	// fixed-size, or None: the constant the backend uses for offset
 	// computation (Program.FieldOffset).
 	Widths []int32
+
+	// FieldNames[n] is struct node n's field-name list (literal items
+	// excluded) and OptTypes[n] is Popt node n's type name, "Popt <inner>";
+	// both are empty for other nodes. They are built once here and shared
+	// by every value the VM builds for the node, so no record re-derives
+	// them. A FieldNames entry has cap == len: a consumer that appends to a
+	// value's Names copies instead of writing into the table.
+	FieldNames [][]string
+	OptTypes   []string
 }
 
 // DeclByName resolves a declared type name to its DeclID.
@@ -387,6 +396,8 @@ func (p *Program) addRef(tr dsl.TypeRef) int32 {
 func (p *Program) addNode(n Node) NodeID {
 	p.Nodes = append(p.Nodes, n)
 	p.Widths = append(p.Widths, None)
+	p.FieldNames = append(p.FieldNames, nil)
+	p.OptTypes = append(p.OptTypes, "")
 	return NodeID(len(p.Nodes) - 1)
 }
 

@@ -94,7 +94,7 @@ func (l *lowerer) lowerDecl(d dsl.Decl) (NodeID, error) {
 func (l *lowerer) lowerStruct(d *dsl.StructDecl) (NodeID, error) {
 	p := l.p
 	kids := make([]NodeID, 0, len(d.Items))
-	nfields := int32(0)
+	var names []string
 	for _, it := range d.Items {
 		if it.Lit != nil {
 			lit, err := l.lowerLit(it.Lit)
@@ -109,14 +109,16 @@ func (l *lowerer) lowerStruct(d *dsl.StructDecl) (NodeID, error) {
 			return None, err
 		}
 		kids = append(kids, kid)
-		nfields++
+		names = append(names, it.Field.Name)
 	}
 	start := int32(len(p.Kids))
 	p.Kids = append(p.Kids, kids...)
-	return p.addNode(Node{
+	id := p.addNode(Node{
 		Op: OpStruct, Flags: annotFlags(d), Name: d.Name,
-		A: start, B: int32(len(kids)), C: p.addExpr(d.Where), D: nfields,
-	}), nil
+		A: start, B: int32(len(kids)), C: p.addExpr(d.Where), D: int32(len(names)),
+	})
+	p.FieldNames[id] = names[:len(names):len(names)]
+	return id, nil
 }
 
 func (l *lowerer) lowerField(f *dsl.Field) (NodeID, error) {
@@ -258,7 +260,9 @@ func (l *lowerer) lowerRef(tr dsl.TypeRef) (NodeID, error) {
 		if err != nil {
 			return None, err
 		}
-		return p.addNode(Node{Op: OpOpt, Name: tr.Name, A: child, B: p.addRef(tr), C: None, D: None}), nil
+		id := p.addNode(Node{Op: OpOpt, Name: tr.Name, A: child, B: p.addRef(tr), C: None, D: None})
+		p.OptTypes[id] = "Popt " + tr.Name
+		return id, nil
 	}
 	if b := sema.LookupBase(tr.Name); b != nil {
 		return l.lowerBase(b, tr)

@@ -228,7 +228,7 @@ func TestJobManifestExclusivity(t *testing.T) {
 	dir := t.TempDir()
 	_, ts := newTestServer(t, Config{JobDir: dir})
 	id := upload(t, ts, clfSource(t))
-	jobCorpus(t, dir, "data.log", 120000) // ~9 MB: still running when the second submit lands
+	jobCorpus(t, dir, "data.log", 20000) // ~1.5 MB: still running when the second submit lands
 
 	body := fmt.Sprintf(`{"desc":%q,"file":"data.log","segment_size":"64k","workers":1}`, id)
 	resp, info := submitJob(t, ts, body)

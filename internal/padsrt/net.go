@@ -44,16 +44,17 @@ func ReadIP(s *Source) (uint32, ErrCode) {
 }
 
 // FormatIP renders a host-order IPv4 address as a dotted quad.
-func FormatIP(v uint32) string {
-	out := make([]byte, 0, 15)
-	out = AppendUint(out, uint64(v>>24))
-	out = append(out, '.')
-	out = AppendUint(out, uint64(v>>16&0xFF))
-	out = append(out, '.')
-	out = AppendUint(out, uint64(v>>8&0xFF))
-	out = append(out, '.')
-	out = AppendUint(out, uint64(v&0xFF))
-	return string(out)
+func FormatIP(v uint32) string { return string(AppendIP(make([]byte, 0, 15), v)) }
+
+// AppendIP appends the dotted quad of a host-order IPv4 address to dst.
+func AppendIP(dst []byte, v uint32) []byte {
+	dst = AppendUint(dst, uint64(v>>24))
+	dst = append(dst, '.')
+	dst = AppendUint(dst, uint64(v>>16&0xFF))
+	dst = append(dst, '.')
+	dst = AppendUint(dst, uint64(v>>8&0xFF))
+	dst = append(dst, '.')
+	return AppendUint(dst, uint64(v&0xFF))
 }
 
 func isHostByte(b byte) bool {

@@ -73,6 +73,12 @@ grep -Eq '^[a-z_][a-z_0-9]*(;[a-z_0-9]+)+ [0-9]+$' "$tmp/folded.txt"
 # test pins a parse with an attached-but-idle profiler to 0 extra allocs/op.
 go test -run 'TestDisabledProfilingNoAllocs' -count=1 ./internal/interp >/dev/null
 
+# Value-allocation pins (docs/IR.md): the VM's allocations per record, the
+# flat live heap of its scans, and the accumulator's allocation-free Add. They
+# run here without -race, whose runtime changes allocation behaviour.
+go test -run 'TestVMAllocsPerRecord|TestVMLiveHeapFlat' -count=1 ./internal/interp >/dev/null
+go test -run 'TestAddAllocs' -count=1 ./internal/accum >/dev/null
+
 # Robustness smoke test (docs/ROBUSTNESS.md): the fuzz targets must survive
 # a short budget, and the budget/quarantine flags must behave on a corpus
 # with a known error population.
