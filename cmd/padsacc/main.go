@@ -13,25 +13,18 @@
 package main
 
 import (
-	"bufio"
 	"flag"
-	"fmt"
-	"io"
-	"os"
 
 	"pads/internal/accum"
 	"pads/internal/cliutil"
-	"pads/internal/padsrt"
+	"pads/internal/core"
 )
 
 func main() {
-	descPath := flag.String("desc", "", "PADS description file (required)")
+	input := cliutil.NewInputFlags()
 	field := flag.String("field", "", "report only this dotted component path (e.g. length or header.order_num)")
 	track := flag.Int("track", 1000, "distinct values to track per component")
 	top := flag.Int("top", 10, "values to print per component")
-	disc := flag.String("disc", "newline", "record discipline: newline, none, fixed:N, lenprefix[:N]")
-	ebcdic := flag.Bool("ebcdic", false, "treat the ambient coding as EBCDIC")
-	le := flag.Bool("le", false, "little-endian binary integers")
 	workers := flag.Int("workers", 1, "parse worker goroutines: 1 streams sequentially, 0 uses all CPUs (docs/PARALLEL.md)")
 	stats := cliutil.StatsFlag()
 	traceFlags := cliutil.NewTraceFlags()
@@ -40,136 +33,11 @@ func main() {
 	segFlags := cliutil.NewSegmentFlags()
 	flag.Parse()
 
-	if *descPath == "" {
-		fmt.Fprintln(os.Stderr, "usage: padsacc -desc description.pads [flags] [data]")
-		os.Exit(2)
-	}
-	desc := cliutil.MustCompile(*descPath)
-	opts, err := cliutil.SourceOptions(*disc, *ebcdic, *le)
-	if err != nil {
-		cliutil.Fatal(err)
-	}
-	opts = robustFlags.SourceOptions(opts)
-	tel, err := cliutil.OpenTelemetry(*stats, traceFlags.Path, traceFlags.Last)
-	if err != nil {
-		cliutil.Fatal(err)
-	}
-	tel.Observe(desc)
-	prf, err := cliutil.OpenProfiling(profFlags, cliutil.DataSize(flag.Arg(0)))
-	if err != nil {
-		cliutil.Fatal(err)
-	}
-	prf.Observe(desc)
-
-	if segFlags.Active() {
-		// Out-of-core: segment-at-a-time parsing with a durable job manifest
-		// (docs/ROBUSTNESS.md). The segment runner owns the quarantine file
-		// and applies the error budget per segment, so the Robustness block
-		// is bypassed; telemetry still folds in at each commit.
-		job := &cliutil.SegmentJob{
-			Desc: desc, Flags: segFlags, Robust: robustFlags, Opts: opts,
-			Workers: *workers, Stats: tel.Stats,
-			AccumCfg: accum.Config{MaxTracked: *track, TopN: *top},
-			DataArg:  flag.Arg(0),
-		}
-		rep, err := job.Run()
-		if cerr := prf.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-		if cerr := tel.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-		if err != nil {
-			cliutil.Fatal(err)
-		}
-		out := bufio.NewWriter(os.Stdout)
-		fmt.Fprintf(out, "%d records\n\n", rep.Records)
-		if *field != "" {
-			if err := rep.Acc.ReportField(out, "<top>", *field); err != nil {
-				out.Flush()
-				cliutil.Fatal(err)
-			}
-		} else {
-			rep.Acc.Report(out, "<top>")
-		}
-		out.Flush()
-		if cliutil.ReportPoisoned(rep) {
-			os.Exit(3)
-		}
-		return
-	}
-
-	rob, err := robustFlags.Open(tel.Stats)
-	if err != nil {
-		cliutil.Fatal(err)
-	}
-	rob.Apply(desc)
-	in, err := cliutil.OpenData(flag.Arg(0))
-	if err != nil {
-		cliutil.Fatal(err)
-	}
-	defer in.Close()
-
-	// finish closes the quarantine, profiler, and telemetry before any exit,
-	// so the -stats block, the -profile table, and the dead-letter file are
-	// complete even on failure. The profiler closes first: its progress
-	// ticker must stop before the reports print.
-	finish := func(fatal error) {
-		if err := rob.Close(); err != nil && fatal == nil {
-			fatal = err
-		}
-		if err := prf.Close(); err != nil && fatal == nil {
-			fatal = err
-		}
-		if err := tel.Close(); err != nil && fatal == nil {
-			fatal = err
-		}
-		if fatal != nil {
-			cliutil.Fatal(fatal)
-		}
-	}
-
-	cfg := accum.Config{MaxTracked: *track, TopN: *top}
-	var acc *accum.Accum
-	var n int
-	if *workers != 1 {
-		// Record-sharded parallel accumulation over the whole input in
-		// memory; the chunk-ordered merge keeps the exact statistics
-		// identical to a sequential run (docs/PARALLEL.md).
-		data, err := io.ReadAll(bufio.NewReaderSize(in, 1<<20))
-		if err != nil {
-			finish(err)
-		}
-		acc, n, err = desc.AccumulateParallel(data, opts, cfg, *workers)
-		if err != nil {
-			finish(err)
-		}
-	} else {
-		s := padsrt.NewSource(bufio.NewReaderSize(in, 1<<20), prf.SourceOptions(tel.SourceOptions(opts))...)
-		rr, err := desc.Records(s, nil)
-		if err != nil {
-			finish(err)
-		}
-		rr.SetPolicy(rob.Policy)
-		acc = accum.New(cfg)
-		for rr.More() {
-			acc.Add(rr.Read())
-			n++
-		}
-		if err := rr.Err(); err != nil {
-			finish(err)
-		}
-	}
-	finish(nil)
-
-	out := bufio.NewWriter(os.Stdout)
-	defer out.Flush()
-	fmt.Fprintf(out, "%d records\n\n", n)
-	if *field != "" {
-		if err := acc.ReportField(out, "<top>", *field); err != nil {
-			cliutil.Fatal(err)
-		}
-		return
-	}
-	acc.Report(out, "<top>")
+	desc, opts := input.Open("padsacc -desc description.pads [flags] [data]", robustFlags)
+	tel, prf := cliutil.Observe(desc, *stats, traceFlags, profFlags, flag.Arg(0))
+	(&cliutil.Tool{
+		Name: "padsacc", Desc: desc, Opts: opts, Workers: *workers, DataArg: flag.Arg(0),
+		Out: &core.Profile{Config: accum.Config{MaxTracked: *track, TopN: *top}, Field: *field},
+		Seg: segFlags, Robust: robustFlags, Tel: tel, Prof: prf,
+	}).Run()
 }

@@ -50,6 +50,7 @@ import (
 	"pads/internal/padsrt"
 	"pads/internal/telemetry"
 	"pads/internal/telemetry/prof"
+	"pads/internal/value"
 )
 
 func main() {
@@ -223,113 +224,71 @@ func main() {
 		}
 	}
 
-	// statSource builds the instrumented Source an instrument pass reads.
-	statSource := func(path string, st *telemetry.Stats) (*os.File, *padsrt.Source) {
-		f := mustOpen(path)
-		return f, padsrt.NewSource(bufio.NewReaderSize(f, 1<<20), padsrt.WithStats(st))
-	}
-
 	cleanInfo, err := os.Stat(cleanPath)
 	if err != nil {
 		cliutil.Fatal(err)
 	}
-	cleanBytes := cleanInfo.Size()
-
-	vetProgs := []prog{
-		{name: "pads", run: func() error {
-			r := mustOpen(rawPath)
-			defer r.Close()
-			_, err := fig10.PadsVet(r, io.Discard, io.Discard)
-			return err
-		}, instrument: func(st *telemetry.Stats) error {
-			f, s := statSource(rawPath, st)
+	// Each task times pads, Perl (when installed), the hand-written Go port
+	// and, with -workers, the record-sharded pads program. The pads program
+	// reads a Source built as fig10's readers build theirs; its instrument
+	// pass adds a telemetry sink.
+	open := func(path string, opts ...padsrt.SourceOption) (*os.File, *padsrt.Source) {
+		f := mustOpen(path)
+		return f, padsrt.NewSource(bufio.NewReaderSize(f, 1<<20), opts...)
+	}
+	tasks := []struct {
+		name, note string
+		path       string
+		bytes      int64
+		data       []byte
+		perl       []string // script, then its arguments
+		pads       func(*padsrt.Source) error
+		goPort     func(io.Reader) error
+		par        func([]byte) error
+	}{
+		{"vetting", "paper: padsvet 1616s vs perl 3272s, 2.03x", rawPath, st.Bytes, rawData,
+			[]string{"scripts/perl/vet.pl"},
+			func(s *padsrt.Source) error { return errOf(fig10.PadsVetSource(s, io.Discard, io.Discard)) },
+			func(r io.Reader) error { return errOf(baseline.SiriusVet(r, io.Discard, io.Discard)) },
+			func(d []byte) error { return errOf(fig10.PadsVetParallel(d, io.Discard, io.Discard, *workers)) }},
+		{"selection", "paper: padsselect 421s vs perl 520s, 1.23x", cleanPath, cleanInfo.Size(), cleanData,
+			[]string{"scripts/perl/select.pl", *state},
+			func(s *padsrt.Source) error { return errOf(fig10.PadsSelectSource(s, io.Discard, *state)) },
+			func(r io.Reader) error { return errOf(baseline.SiriusSelect(r, io.Discard, *state)) },
+			func(d []byte) error { return errOf(fig10.PadsSelectParallel(d, io.Discard, *state, *workers)) }},
+		{"record count", "paper: PADS 81s vs perl 124s, 1.53x", cleanPath, cleanInfo.Size(), cleanData,
+			[]string{"scripts/perl/count.pl"},
+			func(s *padsrt.Source) error { return errOf(fig10.PadsCountSource(s)) },
+			func(r io.Reader) error { return errOf(baseline.CountRecords(r)) },
+			func(d []byte) error { return errOf(fig10.PadsCountParallel(d, *workers)) }},
+	}
+	for _, t := range tasks {
+		progs := []prog{{name: "pads", run: func() error {
+			f, s := open(t.path)
 			defer f.Close()
-			_, err := fig10.PadsVetSource(s, io.Discard, io.Discard)
-			return err
-		}},
-	}
-	if perlPath != "" {
-		vetProgs = append(vetProgs, prog{name: "perl", subproc: true, run: func() error {
-			return runPerl(perlPath, rawPath, "scripts/perl/vet.pl")
-		}})
-	}
-	vetProgs = append(vetProgs, prog{name: "go-port", run: func() error {
-		r := mustOpen(rawPath)
-		defer r.Close()
-		_, err := baseline.SiriusVet(r, io.Discard, io.Discard)
-		return err
-	}})
-	if *workers > 1 {
-		vetProgs = append(vetProgs, prog{name: fmt.Sprintf("pads-par%d", *workers), run: func() error {
-			_, err := fig10.PadsVetParallel(rawData, io.Discard, io.Discard, *workers)
-			return err
-		}})
-	}
-	bench("vetting", "paper: padsvet 1616s vs perl 3272s, 2.03x", st.Bytes, vetProgs)
-
-	selProgs := []prog{
-		{name: "pads", run: func() error {
-			r := mustOpen(cleanPath)
-			defer r.Close()
-			_, err := fig10.PadsSelect(r, io.Discard, *state)
-			return err
+			return t.pads(s)
 		}, instrument: func(st *telemetry.Stats) error {
-			f, s := statSource(cleanPath, st)
+			f, s := open(t.path, padsrt.WithStats(st))
 			defer f.Close()
-			_, err := fig10.PadsSelectSource(s, io.Discard, *state)
-			return err
-		}},
-	}
-	if perlPath != "" {
-		selProgs = append(selProgs, prog{name: "perl", subproc: true, run: func() error {
-			return runPerl(perlPath, cleanPath, "scripts/perl/select.pl", *state)
-		}})
-	}
-	selProgs = append(selProgs, prog{name: "go-port", run: func() error {
-		r := mustOpen(cleanPath)
-		defer r.Close()
-		_, err := baseline.SiriusSelect(r, io.Discard, *state)
-		return err
-	}})
-	if *workers > 1 {
-		selProgs = append(selProgs, prog{name: fmt.Sprintf("pads-par%d", *workers), run: func() error {
-			_, err := fig10.PadsSelectParallel(cleanData, io.Discard, *state, *workers)
-			return err
-		}})
-	}
-	bench("selection", "paper: padsselect 421s vs perl 520s, 1.23x", cleanBytes, selProgs)
-
-	countProgs := []prog{
-		{name: "pads", run: func() error {
-			r := mustOpen(cleanPath)
-			defer r.Close()
-			_, err := fig10.PadsCount(r)
-			return err
-		}, instrument: func(st *telemetry.Stats) error {
-			f, s := statSource(cleanPath, st)
+			return t.pads(s)
+		}}}
+		if perlPath != "" {
+			progs = append(progs, prog{name: "perl", subproc: true, run: func() error {
+				return runPerl(perlPath, t.path, t.perl[0], t.perl[1:]...)
+			}})
+		}
+		progs = append(progs, prog{name: "go-port", run: func() error {
+			f := mustOpen(t.path)
 			defer f.Close()
-			_, err := fig10.PadsCountSource(s)
-			return err
-		}},
-	}
-	if perlPath != "" {
-		countProgs = append(countProgs, prog{name: "perl", subproc: true, run: func() error {
-			return runPerl(perlPath, cleanPath, "scripts/perl/count.pl")
+			return t.goPort(f)
 		}})
+		if *workers > 1 {
+			progs = append(progs, prog{name: fmt.Sprintf("pads-par%d", *workers), run: func() error {
+				return t.par(t.data)
+			}})
+		}
+		bench(t.name, t.note, t.bytes, progs)
 	}
-	countProgs = append(countProgs, prog{name: "go-port", run: func() error {
-		r := mustOpen(cleanPath)
-		defer r.Close()
-		_, err := baseline.CountRecords(r)
-		return err
-	}})
-	if *workers > 1 {
-		countProgs = append(countProgs, prog{name: fmt.Sprintf("pads-par%d", *workers), run: func() error {
-			_, err := fig10.PadsCountParallel(cleanData, *workers)
-			return err
-		}})
-	}
-	bench("record count", "paper: PADS 81s vs perl 124s, 1.53x", cleanBytes, countProgs)
 
 	// The Figure 10 rows time the generated parser, which has no node-level
 	// instrumentation; the hot list comes from one untimed interpreter pass
@@ -377,10 +336,7 @@ func interpProfile(cleanPath string) (*prof.Profile, error) {
 	if err != nil {
 		return nil, err
 	}
-	for rr.More() {
-		rr.Read()
-	}
-	if err := rr.Err(); err != nil {
+	if _, err := core.Scan(rr, func(value.Value) error { return nil }); err != nil {
 		return nil, err
 	}
 	return p.Snapshot(), nil
@@ -395,6 +351,9 @@ func gitCommit() string {
 	}
 	return strings.TrimSpace(string(out))
 }
+
+// errOf drops a program's result, keeping its error.
+func errOf[T any](_ T, err error) error { return err }
 
 func mustOpen(path string) *os.File {
 	f, err := os.Open(path)

@@ -10,26 +10,16 @@
 package main
 
 import (
-	"bufio"
-	"bytes"
 	"flag"
-	"fmt"
-	"os"
-	"strings"
 
 	"pads/internal/cliutil"
-	"pads/internal/fmtconv"
-	"pads/internal/padsrt"
-	"pads/internal/value"
+	"pads/internal/core"
 )
 
 func main() {
-	descPath := flag.String("desc", "", "PADS description file (required)")
+	input := cliutil.NewInputFlags()
 	delims := flag.String("delims", "|", "delimiter list, comma-separated for nested levels")
 	dateFmt := flag.String("datefmt", "", "date output format, e.g. %D:%T (default: raw text)")
-	disc := flag.String("disc", "newline", "record discipline: newline, none, fixed:N, lenprefix[:N]")
-	ebcdic := flag.Bool("ebcdic", false, "treat the ambient coding as EBCDIC")
-	le := flag.Bool("le", false, "little-endian binary integers")
 	skipErrs := flag.Bool("skip-errors", false, "omit records with parse errors")
 	outPath := flag.String("out", "", "write delimited output to `FILE` (required with -out-of-core: resume must be able to truncate it)")
 	workers := flag.Int("workers", 0, "out-of-core parse workers (0 = all CPUs)")
@@ -39,110 +29,11 @@ func main() {
 	segFlags := cliutil.NewSegmentFlags()
 	flag.Parse()
 
-	if *descPath == "" {
-		fmt.Fprintln(os.Stderr, "usage: padsfmt -desc description.pads [flags] [data]")
-		os.Exit(2)
-	}
-	desc := cliutil.MustCompile(*descPath)
-	opts, err := cliutil.SourceOptions(*disc, *ebcdic, *le)
-	if err != nil {
-		cliutil.Fatal(err)
-	}
-	opts = robustFlags.SourceOptions(opts)
-	tel, err := cliutil.OpenTelemetry(*stats, "", 0)
-	if err != nil {
-		cliutil.Fatal(err)
-	}
-	tel.Observe(desc)
-	prf, err := cliutil.OpenProfiling(profFlags, cliutil.DataSize(flag.Arg(0)))
-	if err != nil {
-		cliutil.Fatal(err)
-	}
-	prf.Observe(desc)
-	f := fmtconv.New(strings.Split(*delims, ",")...)
-	f.DateFormat = *dateFmt
-
-	if segFlags.Active() {
-		// Out-of-core formatting: each segment's delimited text lands in
-		// -out in segment order through the durable job manifest.
-		if *outPath == "" && segFlags.Resume == "" {
-			cliutil.Fatal(fmt.Errorf("-out-of-core needs -out FILE"))
-		}
-		skip := *skipErrs
-		job := &cliutil.SegmentJob{
-			Desc: desc, Flags: segFlags, Robust: robustFlags, Opts: opts,
-			Workers: *workers, Stats: tel.Stats, Mode: "fmt", OutPath: *outPath,
-			Emit: func(out *bytes.Buffer, v value.Value) {
-				if skip && v.PD().Nerr > 0 {
-					return
-				}
-				f.WriteRecord(out, v)
-			},
-			DataArg: flag.Arg(0),
-		}
-		rep, err := job.Run()
-		if cerr := prf.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-		if cerr := tel.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-		if err != nil {
-			cliutil.Fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "padsfmt: %d records (%d errored) across %d segments\n", rep.Records, rep.Errored, rep.Segments)
-		if cliutil.ReportPoisoned(rep) {
-			os.Exit(3)
-		}
-		return
-	}
-
-	rob, err := robustFlags.Open(tel.Stats)
-	if err != nil {
-		cliutil.Fatal(err)
-	}
-	in, err := cliutil.OpenData(flag.Arg(0))
-	if err != nil {
-		cliutil.Fatal(err)
-	}
-	defer in.Close()
-
-	s := padsrt.NewSource(bufio.NewReaderSize(in, 1<<20), prf.SourceOptions(tel.SourceOptions(opts))...)
-	rr, err := desc.Records(s, nil)
-	if err != nil {
-		cliutil.Fatal(err)
-	}
-	rr.SetPolicy(rob.Policy)
-	var sink *os.File = os.Stdout
-	if *outPath != "" {
-		sink, err = os.Create(*outPath)
-		if err != nil {
-			cliutil.Fatal(err)
-		}
-		defer sink.Close()
-	}
-	out := bufio.NewWriterSize(sink, 1<<20)
-	for rr.More() {
-		rec := rr.Read()
-		if *skipErrs && rec.PD().Nerr > 0 {
-			continue
-		}
-		f.WriteRecord(out, rec)
-	}
-	scanErr := rr.Err()
-	if err := out.Flush(); err != nil && scanErr == nil {
-		scanErr = err
-	}
-	if err := rob.Close(); err != nil && scanErr == nil {
-		scanErr = err
-	}
-	if err := prf.Close(); err != nil && scanErr == nil {
-		scanErr = err
-	}
-	if err := tel.Close(); err != nil && scanErr == nil {
-		scanErr = err
-	}
-	if scanErr != nil {
-		cliutil.Fatal(scanErr)
-	}
+	desc, opts := input.Open("padsfmt -desc description.pads [flags] [data]", robustFlags)
+	tel, prf := cliutil.Observe(desc, *stats, nil, profFlags, flag.Arg(0))
+	(&cliutil.Tool{
+		Name: "padsfmt", Desc: desc, Opts: opts, Workers: *workers, DataArg: flag.Arg(0),
+		Out: core.NewDelimited("fmt", *delims, *dateFmt, *skipErrs), OutPath: *outPath,
+		Seg: segFlags, Robust: robustFlags, Tel: tel, Prof: prf,
+	}).Run()
 }

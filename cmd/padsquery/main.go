@@ -25,89 +25,52 @@ import (
 )
 
 func main() {
-	descPath := flag.String("desc", "", "PADS description file (required)")
+	input := cliutil.NewInputFlags()
 	q := flag.String("q", "", "query (required)")
-	disc := flag.String("disc", "newline", "record discipline: newline, none, fixed:N, lenprefix[:N]")
-	ebcdic := flag.Bool("ebcdic", false, "treat the ambient coding as EBCDIC")
-	le := flag.Bool("le", false, "little-endian binary integers")
 	workers := flag.Int("workers", 1, "parse worker goroutines: 1 parses sequentially, 0 uses all CPUs (docs/PARALLEL.md)")
 	stats := cliutil.StatsFlag()
 	profFlags := cliutil.NewProfFlags()
 	robustFlags := cliutil.NewRobustFlags()
 	flag.Parse()
 
-	if *descPath == "" || *q == "" {
-		fmt.Fprintln(os.Stderr, "usage: padsquery -desc description.pads -q query [data]")
-		os.Exit(2)
+	const usage = "padsquery -desc description.pads -q query [data]"
+	if *q == "" {
+		cliutil.Usage(usage)
 	}
-	desc := cliutil.MustCompile(*descPath)
+	desc, opts := input.Open(usage, robustFlags)
 	cq, err := query.Compile(*q)
 	if err != nil {
 		cliutil.Fatal(err)
 	}
-	opts, err := cliutil.SourceOptions(*disc, *ebcdic, *le)
-	if err != nil {
-		cliutil.Fatal(err)
-	}
-	opts = robustFlags.SourceOptions(opts)
-	tel, err := cliutil.OpenTelemetry(*stats, "", 0)
-	if err != nil {
-		cliutil.Fatal(err)
-	}
-	tel.Observe(desc)
-	prf, err := cliutil.OpenProfiling(profFlags, cliutil.DataSize(flag.Arg(0)))
-	if err != nil {
-		cliutil.Fatal(err)
-	}
-	prf.Observe(desc)
+	tel, prf := cliutil.Observe(desc, *stats, nil, profFlags, flag.Arg(0))
 	rob, err := robustFlags.Open(tel.Stats)
 	if err != nil {
 		cliutil.Fatal(err)
 	}
-	rob.Apply(desc)
+	desc.Policy = rob.Policy
 	in, err := cliutil.OpenData(flag.Arg(0))
 	if err != nil {
 		cliutil.Fatal(err)
 	}
 	defer in.Close()
 
-	finish := func(fatal error) {
-		if err := rob.Close(); err != nil && fatal == nil {
-			fatal = err
-		}
-		if err := prf.Close(); err != nil && fatal == nil {
-			fatal = err
-		}
-		if err := tel.Close(); err != nil && fatal == nil {
-			fatal = err
-		}
-		if fatal != nil {
-			cliutil.Fatal(fatal)
-		}
-	}
-
 	data, err := io.ReadAll(bufio.NewReaderSize(in, 1<<20))
 	if err != nil {
-		finish(err)
+		cliutil.Finish(err, rob, prf, tel)
 	}
 
+	// With -workers other than 1, a record-sharded parallel parse; sources
+	// that are not header+records shaped fall back to the sequential parse.
+	// A tripped error budget is final — re-parsing would trip it again.
 	var v value.Value
+	var be *interp.BudgetError
 	if *workers != 1 {
-		// Record-sharded parallel parse; sources that are not
-		// header+records shaped fall back to the sequential parse. A
-		// tripped error budget is final — re-parsing would trip it again.
 		v, err = desc.ParseAllParallel(data, opts, *workers)
-		var be *interp.BudgetError
-		if err != nil && !errors.As(err, &be) {
-			v, err = desc.ParseAllPolicy(padsrt.NewBytesSource(data, prf.SourceOptions(tel.SourceOptions(opts))...))
-		}
-	} else {
+	}
+	if *workers == 1 || err != nil && !errors.As(err, &be) {
 		v, err = desc.ParseAllPolicy(padsrt.NewBytesSource(data, prf.SourceOptions(tel.SourceOptions(opts))...))
 	}
-	if err != nil {
-		finish(err)
-	}
-	finish(nil)
+	cliutil.Finish(err, rob, prf, tel)
 	nodes, agg, isAgg := cq.Eval(desc.QueryRoot(v))
 	out := bufio.NewWriter(os.Stdout)
 	defer out.Flush()

@@ -12,128 +12,34 @@
 package main
 
 import (
-	"bufio"
-	"bytes"
 	"flag"
 	"fmt"
-	"os"
 
 	"pads/internal/cliutil"
-	"pads/internal/padsrt"
-	"pads/internal/value"
-	"pads/internal/xmlgen"
 )
 
 func main() {
-	descPath := flag.String("desc", "", "PADS description file (required)")
+	input := cliutil.NewInputFlags()
 	schema := flag.Bool("schema", false, "print the generated XML Schema instead of converting data")
 	rootTag := flag.String("root", "source", "root element name")
-	disc := flag.String("disc", "newline", "record discipline: newline, none, fixed:N, lenprefix[:N]")
-	ebcdic := flag.Bool("ebcdic", false, "treat the ambient coding as EBCDIC")
-	le := flag.Bool("le", false, "little-endian binary integers")
 	outPath := flag.String("out", "", "write XML to `FILE` (required with -out-of-core: resume must be able to truncate it)")
 	workers := flag.Int("workers", 0, "out-of-core parse workers (0 = all CPUs)")
 	robustFlags := cliutil.NewRobustFlags()
 	segFlags := cliutil.NewSegmentFlags()
 	flag.Parse()
 
-	if *descPath == "" {
-		fmt.Fprintln(os.Stderr, "usage: padsxml -desc description.pads [-schema] [data]")
-		os.Exit(2)
-	}
-	desc := cliutil.MustCompile(*descPath)
+	desc, opts := input.Open("padsxml -desc description.pads [-schema] [data]", robustFlags)
 	if *schema {
 		fmt.Print(desc.Schema())
 		return
 	}
-	opts, err := cliutil.SourceOptions(*disc, *ebcdic, *le)
+	out, err := desc.XML(*rootTag)
 	if err != nil {
 		cliutil.Fatal(err)
 	}
-	opts = robustFlags.SourceOptions(opts)
-
-	if segFlags.Active() {
-		// Out-of-core conversion streams each segment's XML to -out in
-		// segment order through the durable job manifest; -out is required
-		// because resume truncates the file back to the committed frontier,
-		// which a pipe cannot do.
-		shape, err := desc.Interp.Shape()
-		if err != nil {
-			cliutil.Fatal(err)
-		}
-		root := *rootTag
-		job := &cliutil.SegmentJob{
-			Desc: desc, Flags: segFlags, Robust: robustFlags, Opts: opts,
-			Workers: *workers, Mode: "xml", OutPath: *outPath,
-			EmitPrologue: func(out *bytes.Buffer, header value.Value) {
-				fmt.Fprintf(out, "<%s>\n", root)
-				if header != nil {
-					xmlgen.WriteXML(out, header, "header", 1)
-				}
-			},
-			Emit: func(out *bytes.Buffer, v value.Value) {
-				xmlgen.WriteXML(out, v, shape.RecordType, 1)
-			},
-			EmitEpilogue: func(out *bytes.Buffer) {
-				fmt.Fprintf(out, "</%s>\n", root)
-			},
-			DataArg: flag.Arg(0),
-		}
-		if *outPath == "" && segFlags.Resume == "" {
-			cliutil.Fatal(fmt.Errorf("-out-of-core needs -out FILE"))
-		}
-		rep, err := job.Run()
-		if err != nil {
-			cliutil.Fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "padsxml: %d records (%d errored) across %d segments\n", rep.Records, rep.Errored, rep.Segments)
-		if cliutil.ReportPoisoned(rep) {
-			os.Exit(3)
-		}
-		return
-	}
-
-	rob, err := robustFlags.Open(nil)
-	if err != nil {
-		cliutil.Fatal(err)
-	}
-	in, err := cliutil.OpenData(flag.Arg(0))
-	if err != nil {
-		cliutil.Fatal(err)
-	}
-	defer in.Close()
-
-	s := padsrt.NewSource(bufio.NewReaderSize(in, 1<<20), opts...)
-	rr, err := desc.Records(s, nil)
-	if err != nil {
-		cliutil.Fatal(err)
-	}
-	rr.SetPolicy(rob.Policy)
-	var sink *os.File = os.Stdout
-	if *outPath != "" {
-		sink, err = os.Create(*outPath)
-		if err != nil {
-			cliutil.Fatal(err)
-		}
-		defer sink.Close()
-	}
-	out := bufio.NewWriterSize(sink, 1<<20)
-	fmt.Fprintf(out, "<%s>\n", *rootTag)
-	if h := rr.Header(); h != nil {
-		xmlgen.WriteXML(out, h, "header", 1)
-	}
-	for rr.More() {
-		xmlgen.WriteXML(out, rr.Read(), rr.RecordTypeName(), 1)
-	}
-	fmt.Fprintf(out, "</%s>\n", *rootTag)
-	scanErr := rr.Err()
-	if err := out.Flush(); err != nil && scanErr == nil {
-		scanErr = err
-	}
-	if err := rob.Close(); err != nil && scanErr == nil {
-		scanErr = err
-	}
-	if scanErr != nil {
-		cliutil.Fatal(scanErr)
-	}
+	(&cliutil.Tool{
+		Name: "padsxml", Desc: desc, Opts: opts, Workers: *workers,
+		Out: out, OutPath: *outPath, DataArg: flag.Arg(0),
+		Seg: segFlags, Robust: robustFlags, Tel: &cliutil.Telemetry{}, Prof: &cliutil.Profiling{},
+	}).Run()
 }

@@ -41,13 +41,9 @@ func main() {
 
 	// 1. Profile the source (section 5.2). The report reveals the '-'
 	//    values exactly as the paper's accumulator run did.
-	rr, err := desc.Records(pads.NewBytesSource(data), nil)
+	acc, _, err := desc.AccumulateReader(bytes.NewReader(data), nil, pads.AccumConfig{})
 	if err != nil {
 		log.Fatal(err)
-	}
-	acc := pads.NewAccum(pads.AccumConfig{})
-	for rr.More() {
-		acc.Add(rr.Read())
 	}
 	fmt.Println("=== accumulator report for <top>.length (cf. section 5.2) ===")
 	acc.ReportField(os.Stdout, "<top>", "length")

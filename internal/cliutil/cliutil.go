@@ -5,6 +5,7 @@ package cliutil
 
 import (
 	"errors"
+	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -57,6 +58,64 @@ func SourceOptions(disc string, ebcdic bool, littleEndian bool) ([]padsrt.Source
 		opts = append(opts, padsrt.WithByteOrder(padsrt.LittleEndian))
 	}
 	return opts, nil
+}
+
+// InputFlags holds the flags every data-reading tool shares: the
+// description, and how its data is framed and coded.
+type InputFlags struct {
+	Desc, Disc string
+	EBCDIC, LE bool
+}
+
+// NewInputFlags registers the shared input flags.
+func NewInputFlags() *InputFlags {
+	f := &InputFlags{}
+	flag.StringVar(&f.Desc, "desc", "", "PADS description file (required)")
+	flag.StringVar(&f.Disc, "disc", "newline", "record discipline: newline, none, fixed:N, lenprefix[:N]")
+	flag.BoolVar(&f.EBCDIC, "ebcdic", false, "treat the ambient coding as EBCDIC")
+	flag.BoolVar(&f.LE, "le", false, "little-endian binary integers")
+	return f
+}
+
+// Open compiles the description and builds the source options, extended
+// by rf's resource guards. It exits with usage and status 2 when -desc is
+// missing, and through Fatal on a bad description or discipline.
+func (f *InputFlags) Open(usage string, rf *RobustFlags) (*core.Description, []padsrt.SourceOption) {
+	if f.Desc == "" {
+		Usage(usage)
+	}
+	d := MustCompile(f.Desc)
+	opts, err := SourceOptions(f.Disc, f.EBCDIC, f.LE)
+	if err != nil {
+		Fatal(err)
+	}
+	return d, rf.SourceOptions(opts)
+}
+
+// Usage prints the usage line and exits with status 2.
+func Usage(usage string) {
+	fmt.Fprintln(os.Stderr, "usage: "+usage)
+	os.Exit(2)
+}
+
+// Observe opens the observability flag blocks and attaches them to d,
+// exiting on a bad flag value; tf is nil for a tool without trace flags.
+// dataArg sizes the progress ETA.
+func Observe(d *core.Description, stats bool, tf *TraceFlags, pf *ProfFlags, dataArg string) (*Telemetry, *Profiling) {
+	if tf == nil {
+		tf = &TraceFlags{}
+	}
+	tel, err := OpenTelemetry(stats, tf.Path, tf.Last)
+	if err != nil {
+		Fatal(err)
+	}
+	prf, err := OpenProfiling(pf, DataSize(dataArg))
+	if err != nil {
+		Fatal(err)
+	}
+	d.Observe(tel.Stats, tel.Tracer)
+	d.ObserveProf(prf.Prof)
+	return tel, prf
 }
 
 // MustCompile compiles the description or exits with its diagnostics.

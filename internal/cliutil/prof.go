@@ -7,7 +7,6 @@ import (
 	"os"
 	"time"
 
-	"pads/internal/core"
 	"pads/internal/padsrt"
 	"pads/internal/telemetry/prof"
 )
@@ -80,13 +79,6 @@ func OpenProfiling(pf *ProfFlags, totalBytes int64) (*Profiling, error) {
 
 // Enabled reports whether a profiler is active.
 func (p *Profiling) Enabled() bool { return p.Prof != nil }
-
-// Observe attaches the profiler to the description's interpreter.
-func (p *Profiling) Observe(d *core.Description) {
-	if p.Enabled() {
-		d.ObserveProf(p.Prof)
-	}
-}
 
 // SourceOptions extends opts with the profiler, when one is active, so shard
 // readers pick it up the same way they pick up Stats.

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"pads/internal/atomicio"
-	"pads/internal/core"
 	"pads/internal/interp"
 	"pads/internal/padsrt"
 	"pads/internal/telemetry"
@@ -110,9 +109,6 @@ func (rf *RobustFlags) Open(stats *telemetry.Stats) (*Robustness, error) {
 	}
 	return r, nil
 }
-
-// Apply installs the policy on the description's record scans.
-func (r *Robustness) Apply(d *core.Description) { d.Policy = r.Policy }
 
 // Close finishes the run: it folds the quarantined-record count into the
 // stats (when both exist), surfaces any quarantine write error, and commits

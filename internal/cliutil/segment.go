@@ -1,20 +1,10 @@
 package cliutil
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
-	"os"
 	"strconv"
 	"strings"
-
-	"pads/internal/accum"
-	"pads/internal/core"
-	"pads/internal/interp"
-	"pads/internal/padsrt"
-	"pads/internal/segment"
-	"pads/internal/telemetry"
-	"pads/internal/value"
 )
 
 // The out-of-core flags are shared plumbing like the robustness ones: every
@@ -62,113 +52,4 @@ func ParseSize(s string) (int64, error) {
 		return 0, fmt.Errorf("bad size %q (want a positive integer with optional k/m/g suffix)", s)
 	}
 	return n * mult, nil
-}
-
-// SegmentJob assembles one CLI tool's out-of-core run: the compiled
-// description, the shared flag blocks, and the tool's output mode (nil Emit
-// means accumulation).
-type SegmentJob struct {
-	Desc    *core.Description
-	Flags   *SegmentFlags
-	Robust  *RobustFlags
-	Opts    []padsrt.SourceOption
-	Workers int
-	Stats   *telemetry.Stats
-
-	AccumCfg accum.Config
-
-	Mode         string
-	OutPath      string
-	Emit         func(out *bytes.Buffer, v value.Value)
-	EmitPrologue func(out *bytes.Buffer, header value.Value)
-	EmitEpilogue func(out *bytes.Buffer)
-
-	DataArg string
-}
-
-// Run opens the input (out-of-core parsing preads a real file — stdin is
-// rejected), resolves the manifest path, and executes the segmented job.
-func (sj *SegmentJob) Run() (*segment.Report, error) {
-	sf := sj.Flags
-	dataPath := sj.DataArg
-	manifestPath := sf.Manifest
-	resume := sf.Resume != ""
-	if resume {
-		if sf.OutOfCore || sf.Manifest != "" {
-			return nil, fmt.Errorf("-resume names the manifest itself; drop -out-of-core and -manifest")
-		}
-		manifestPath = sf.Resume
-		if dataPath == "" {
-			// The manifest remembers its input; a bare `-resume MANIFEST`
-			// picks up where the job left off.
-			info, err := segment.Peek(manifestPath)
-			if err != nil {
-				return nil, err
-			}
-			dataPath = info.File
-		}
-	}
-	if dataPath == "" || dataPath == "-" {
-		return nil, fmt.Errorf("out-of-core parsing needs a seekable data file, not stdin")
-	}
-	if manifestPath == "" {
-		manifestPath = dataPath + ".manifest"
-	}
-	segSize, err := ParseSize(sf.SegSize)
-	if err != nil {
-		return nil, fmt.Errorf("bad -segment-size: %w", err)
-	}
-
-	f, err := os.Open(dataPath)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-
-	cfg := segment.Config{
-		Interp:   sj.Desc.Interp,
-		DescHash: segment.HashBytes([]byte(sj.Desc.Source)),
-		Data:     f,
-		DataPath: dataPath,
-		DataSize: st.Size(),
-		Source:   sj.Opts,
-		SegSize:  segSize,
-		Workers:  sj.Workers,
-		Manifest: manifestPath,
-		Resume:   resume,
-		Stats:    sj.Stats,
-		AccumCfg: sj.AccumCfg,
-		Mode:     sj.Mode,
-		OutPath:  sj.OutPath,
-		Emit:     sj.Emit, EmitPrologue: sj.EmitPrologue, EmitEpilogue: sj.EmitEpilogue,
-	}
-	if rf := sj.Robust; rf != nil {
-		// Budgets apply per segment (the fault-isolation boundary); the
-		// quarantine file is owned by the segment runner, which appends and
-		// fsyncs entries in segment order at each commit.
-		if rf.MaxErrors > 0 || rf.MaxErrorRate > 0 || rf.FailFast {
-			cfg.Policy = &interp.Policy{MaxErrors: rf.MaxErrors, MaxErrorRate: rf.MaxErrorRate, FailFast: rf.FailFast}
-		}
-		cfg.QuarPath = rf.Quarantine
-	}
-	return segment.Run(cfg)
-}
-
-// ReportPoisoned prints the poisoned-segment report to stderr and reports
-// whether the tool should exit with status 3 (the error-budget status: the
-// job completed, but degraded).
-func ReportPoisoned(rep *segment.Report) bool {
-	if len(rep.Poisoned) == 0 {
-		return false
-	}
-	fmt.Fprintf(os.Stderr, "%d of %d segments poisoned (job completed without them):\n", len(rep.Poisoned), rep.Segments)
-	for _, p := range rep.Poisoned {
-		fmt.Fprintf(os.Stderr, "  segment %d [%d,+%d): %s (%d records, %d errored)\n",
-			p.Index, p.Off, p.Len, p.Reason, p.Records, p.Errored)
-	}
-	return true
 }

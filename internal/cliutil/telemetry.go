@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 
-	"pads/internal/core"
 	"pads/internal/padsrt"
 	"pads/internal/telemetry"
 )
@@ -86,16 +85,6 @@ func OpenTelemetry(stats bool, tracePath string, traceLast int) (*Telemetry, err
 		}
 	}
 	return t, nil
-}
-
-// Enabled reports whether any observer is active.
-func (t *Telemetry) Enabled() bool { return t.Stats != nil || t.Tracer != nil }
-
-// Observe attaches the observers to the description's interpreter.
-func (t *Telemetry) Observe(d *core.Description) {
-	if t.Enabled() {
-		d.Observe(t.Stats, t.Tracer)
-	}
 }
 
 // SourceOptions extends opts with the stats sink, when one is active, so the

@@ -233,14 +233,6 @@ func baseGoType(b *sema.BaseInfo) string {
 // isBase reports whether a type reference names a base type.
 func isBase(tr dsl.TypeRef) bool { return sema.LookupBase(tr.Name) != nil }
 
-// pdType returns the PD type for a type reference.
-func (g *gen) pdType(tr dsl.TypeRef) string {
-	if tr.Opt || isBase(tr) {
-		return "padsrt.PD"
-	}
-	return GoName(tr.Name) + "PD"
-}
-
 // maskType returns the mask type for a type reference.
 func (g *gen) maskType(tr dsl.TypeRef) string {
 	if tr.Opt || isBase(tr) {

@@ -101,14 +101,6 @@ func asNum(code string, t ty) string {
 	}
 }
 
-func isNumKind(k sema.Kind) bool {
-	switch k {
-	case sema.KUint, sema.KInt, sema.KChar, sema.KDate, sema.KIP, sema.KEnum, sema.KFloat:
-		return true
-	}
-	return false
-}
-
 // convert renders code of type t as the requested Go type.
 func convert(code string, t ty, goType string) string {
 	switch goType {

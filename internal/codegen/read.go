@@ -53,14 +53,6 @@ func (g *gen) maskCheck(tr dsl.TypeRef, mExpr string) string {
 	return g.doCheckExpr(mExpr)
 }
 
-// maskSet renders the DoSet() test for a field's mask expression.
-func (g *gen) maskSet(tr dsl.TypeRef, mExpr string) string {
-	if g.compoundRef(tr) {
-		return g.doSetExpr(mExpr + ".CompoundLevel")
-	}
-	return g.doSetExpr(mExpr)
-}
-
 // matchLitID renders a match call for a pooled IR literal.
 func (g *gen) matchLitID(id ir.LitID) string {
 	l := &g.prog.Lits[id]

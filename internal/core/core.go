@@ -21,7 +21,6 @@ import (
 	"pads/internal/codegen"
 	"pads/internal/datagen"
 	"pads/internal/dsl"
-	"pads/internal/fmtconv"
 	"pads/internal/interp"
 	"pads/internal/padsrt"
 	"pads/internal/query"
@@ -135,17 +134,6 @@ func (d *Description) GenerateGo(pkg string) (string, error) {
 // Schema emits the XML Schema of the canonical XML embedding.
 func (d *Description) Schema() string { return xmlgen.Schema(d.Desc) }
 
-// NewAccum builds an accumulator with the given tracking limits
-// (zero values select the paper's defaults: 1000 tracked, top 10 printed).
-func (d *Description) NewAccum(maxTracked, topN int) *accum.Accum {
-	return accum.New(accum.Config{MaxTracked: maxTracked, TopN: topN})
-}
-
-// NewFormatter builds a delimiter formatter (section 5.3.1).
-func (d *Description) NewFormatter(delims ...string) *fmtconv.Formatter {
-	return fmtconv.New(delims...)
-}
-
 // NewGenerator builds a random-data generator for the description.
 func (d *Description) NewGenerator(seed uint64) *datagen.Generator {
 	return datagen.NewGenerator(d.Desc, seed)
@@ -204,16 +192,17 @@ func (d *Description) StreamQuery(s *padsrt.Source, mask *padsrt.MaskNode, q str
 	}
 	rr.SetPolicy(d.Policy)
 	shape, _ := d.Shape()
-	for rr.More() {
-		rec := rr.Read()
-		records++
-		root := query.NewNode(shape.RecordType, rec)
-		nodes := cq.Run(root)
-		if len(nodes) > 0 && !visit(rec, nodes) {
-			break
+	errStop := errors.New("stop")
+	records, err = Scan(rr, func(rec value.Value) error {
+		if nodes := cq.Run(query.NewNode(shape.RecordType, rec)); len(nodes) > 0 && !visit(rec, nodes) {
+			return errStop
 		}
+		return nil
+	})
+	if err == errStop {
+		err = nil
 	}
-	return records, rr.Err()
+	return records, err
 }
 
 // Shape reports how the source decomposes for record-at-a-time reading.
@@ -223,22 +212,12 @@ func (d *Description) Shape() (interp.SourceShape, error) { return d.Interp.Shap
 // returns it with the record count — the generated accumulator program of
 // section 5.2 for header+records sources.
 func (d *Description) AccumulateReader(r io.Reader, opts []padsrt.SourceOption, cfg accum.Config) (*accum.Accum, int, error) {
-	s := padsrt.NewSource(r, opts...)
-	rr, err := d.Records(s, nil)
+	rr, err := d.Records(padsrt.NewSource(r, opts...), nil)
 	if err != nil {
 		return nil, 0, err
 	}
 	rr.SetPolicy(d.Policy)
-	acc := accum.New(cfg)
-	n := 0
-	for rr.More() {
-		acc.Add(rr.Read())
-		n++
-	}
-	if errors.Is(rr.Err(), io.EOF) {
-		return acc, n, nil
-	}
-	return acc, n, rr.Err()
+	return (&Profile{Config: cfg}).Fold(rr)
 }
 
 // scanParallel runs an in-memory record scan on the segment executor: the
@@ -347,10 +326,10 @@ func (d *Description) ParseAllPolicy(s *padsrt.Source) (value.Value, error) {
 	}
 	rr.SetPolicy(d.Policy)
 	var recs []value.Value
-	for rr.More() {
-		recs = append(recs, rr.Read())
-	}
-	if err := rr.Err(); err != nil && !errors.Is(err, io.EOF) {
+	if _, err := Scan(rr, func(v value.Value) error {
+		recs = append(recs, v)
+		return nil
+	}); err != nil {
 		return nil, err
 	}
 	return d.Interp.AssembleSource(rr.Header(), recs)

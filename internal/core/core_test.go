@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -108,12 +109,6 @@ func TestGenerateGoAndSchema(t *testing.T) {
 	if _, err := g.GenerateType("version_t"); err != nil {
 		t.Error(err)
 	}
-	if f := d.NewFormatter("|"); f == nil {
-		t.Error("formatter nil")
-	}
-	if a := d.NewAccum(0, 0); a == nil {
-		t.Error("accum nil")
-	}
 }
 
 func TestStreamQuery(t *testing.T) {
@@ -183,5 +178,49 @@ func TestStreamQuery(t *testing.T) {
 	// Aggregate queries are rejected.
 	if _, err := d.StreamQuery(padsrt.NewBytesSource(data), nil, "count(events/elt)", func(value.Value, []*query.Node) bool { return true }); err == nil {
 		t.Error("aggregate accepted by StreamQuery")
+	}
+}
+
+// failWriter accepts n bytes, then fails every write.
+type failWriter struct{ n int }
+
+func (w *failWriter) Write(p []byte) (int, error) {
+	if len(p) > w.n {
+		return 0, errors.New("disk full")
+	}
+	w.n -= len(p)
+	return len(p), nil
+}
+
+// TestWriteStreamStopsOnWriteError: a failed write ends the scan at that
+// record and is returned, for both stream outputs.
+func TestWriteStreamStopsOnWriteError(t *testing.T) {
+	d, err := CompileFile(td("clf.pads"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := datagen.CLF(&buf, datagen.DefaultCLF(200)); err != nil {
+		t.Fatal(err)
+	}
+	x, err := d.XML("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, out := range []Stream{x, NewDelimited("fmt", "", "", false)} {
+		rr, err := d.Records(padsrt.NewBytesSource(buf.Bytes()), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = WriteStream(&failWriter{n: 4096}, out, rr)
+		if err == nil || err.Error() != "disk full" {
+			t.Fatalf("%T: WriteStream = %v, want the write error", out, err)
+		}
+		if n, _ := rr.Counts(); n == 0 || n >= 200 {
+			t.Fatalf("%T: scan read %d of 200 records after the write failed", out, n)
+		}
+	}
+	if _, err := d.XML("a><b"); err == nil {
+		t.Fatal("XML accepted a root name that is not an XML Name")
 	}
 }

@@ -8,7 +8,6 @@ package fmtconv
 
 import (
 	"io"
-	"strings"
 
 	"pads/internal/padsrt"
 	"pads/internal/value"
@@ -52,61 +51,73 @@ func (f *Formatter) FormatRecord(v value.Value) string {
 
 // Append appends the delimited form of v to dst.
 func (f *Formatter) Append(dst []byte, v value.Value) []byte {
-	seg, ok := f.render(v, f.Mask, 0)
-	if !ok {
-		return dst
-	}
-	return append(dst, seg...)
+	dst, _ = f.render(dst, v, f.Mask, 0)
+	return dst
 }
 
-// WriteRecord writes one record plus a newline.
+// WriteRecord writes one record plus a newline. Into a *bytes.Buffer or a
+// *bufio.Writer the record renders straight into the writer's free space
+// (AvailableBuffer), with no buffer of its own.
 func (f *Formatter) WriteRecord(w io.Writer, v value.Value) (int, error) {
-	buf := f.Append(nil, v)
-	buf = append(buf, '\n')
-	return w.Write(buf)
+	var buf []byte
+	if ab, ok := w.(interface{ AvailableBuffer() []byte }); ok {
+		buf = ab.AvailableBuffer()
+	}
+	return w.Write(append(f.Append(buf, v), '\n'))
 }
 
-// render produces the delimited text for one value. ok=false means the
-// value occupies no column at all (suppressed by mask, or void); an absent
-// optional returns ("", true) — an empty column. Children of a compound at
-// depth d are joined with the depth-d delimiter, so the list advances at
-// each nested type boundary as the paper specifies.
-func (f *Formatter) render(v value.Value, mask *padsrt.MaskNode, depth int) (string, bool) {
+// render appends the delimited text for one value to dst. ok=false means
+// the value occupies no column at all (suppressed by mask, or void) and
+// nothing was appended; an absent optional appends nothing but reports
+// true — an empty column. Children of a compound at depth d are separated
+// by the depth-d delimiter, so the list advances at each nested type
+// boundary as the paper specifies.
+func (f *Formatter) render(dst []byte, v value.Value, mask *padsrt.MaskNode, depth int) ([]byte, bool) {
 	if v == nil || !mask.BaseMask().DoSet() {
-		return "", false
+		return dst, false
 	}
 	switch v := v.(type) {
 	case *value.Struct:
-		var parts []string
+		sep, n := f.delim(depth), 0
 		for i, name := range v.Names {
-			if seg, ok := f.render(v.Fields[i], mask.Field(name), depth+1); ok {
-				parts = append(parts, seg)
-			}
+			dst, n = f.column(dst, v.Fields[i], mask.Field(name), depth+1, sep, n)
 		}
-		return strings.Join(parts, f.delim(depth)), true
+		return dst, true
 	case *value.Union:
 		if v.Val == nil {
-			return "", true
+			return dst, true
 		}
-		return f.render(v.Val, mask.Field(v.Tag), depth+1)
+		return f.render(dst, v.Val, mask.Field(v.Tag), depth+1)
 	case *value.Array:
-		var parts []string
+		sep, n := f.delim(depth), 0
 		for _, e := range v.Elems {
-			if seg, ok := f.render(e, mask.ElemMask(), depth+1); ok {
-				parts = append(parts, seg)
-			}
+			dst, n = f.column(dst, e, mask.ElemMask(), depth+1, sep, n)
 		}
-		return strings.Join(parts, f.delim(depth)), true
+		return dst, true
 	case *value.Opt:
 		if !v.Present {
-			return "", true // an absent optional still occupies a column
+			return dst, true // an absent optional still occupies a column
 		}
-		return f.render(v.Val, mask, depth)
+		return f.render(dst, v.Val, mask, depth)
 	case *value.Void:
-		return "", false
+		return dst, false
 	default:
-		return string(f.leaf(nil, v)), true
+		return f.leaf(dst, v), true
 	}
+}
+
+// column appends one child of a compound as its n-th column, preceded by
+// sep unless it is the first, and returns the new column count.
+func (f *Formatter) column(dst []byte, v value.Value, mask *padsrt.MaskNode, depth int, sep string, n int) ([]byte, int) {
+	mark := len(dst)
+	if n > 0 {
+		dst = append(dst, sep...)
+	}
+	dst, ok := f.render(dst, v, mask, depth)
+	if !ok {
+		return dst[:mark], n
+	}
+	return dst, n + 1
 }
 
 func (f *Formatter) leaf(dst []byte, v value.Value) []byte {

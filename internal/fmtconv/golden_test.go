@@ -1,8 +1,10 @@
 package fmtconv
 
 import (
+	"bufio"
 	"bytes"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -10,6 +12,7 @@ import (
 	"pads/internal/datagen"
 	"pads/internal/fault"
 	"pads/internal/padsrt"
+	"pads/internal/value"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden delimited files in testdata")
@@ -84,5 +87,57 @@ func TestFormatGolden(t *testing.T) {
 					path, i, len(got), len(want), got[lo:min(len(got), i+80)], want[lo:min(len(want), i+80)])
 			}
 		})
+	}
+}
+
+// TestAppendAllocs pins the delimited formatter to no allocations per
+// record: Append renders into the caller's buffer, and WriteRecord into a
+// *bytes.Buffer or *bufio.Writer renders into the writer's own free space.
+// The Sirius corpus (clean and corrupted) covers structs, arrays, unions,
+// options, integers, strings and enums. Dates formatted with DateFormat
+// and IP addresses still build a string each, so CLF is not pinned.
+func TestAppendAllocs(t *testing.T) {
+	var sirius bytes.Buffer
+	if _, err := datagen.Sirius(&sirius, datagen.DefaultSirius(200)); err != nil {
+		t.Fatal(err)
+	}
+	in := compileFile(t, "sirius.pads")
+	var recs []value.Value
+	for _, data := range [][]byte{sirius.Bytes(), fault.CorruptKeeping(sirius.Bytes(), 7, 0.01, '\n')} {
+		rr, err := in.NewRecordReader(padsrt.NewBytesSource(data), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for rr.More() {
+			recs = append(recs, rr.Read())
+		}
+	}
+	f := New("|", ";", ",")
+	buf := make([]byte, 0, 64<<10)
+	var out bytes.Buffer
+	out.Grow(64 << 10)
+	bw := bufio.NewWriterSize(io.Discard, 64<<10)
+	for name, pass := range map[string]func(){
+		"Append": func() {
+			for _, r := range recs {
+				buf = f.Append(buf[:0], r)
+			}
+		},
+		"WriteRecord/bytes.Buffer": func() {
+			for _, r := range recs {
+				out.Reset()
+				f.WriteRecord(&out, r)
+			}
+		},
+		"WriteRecord/bufio.Writer": func() {
+			for _, r := range recs {
+				f.WriteRecord(bw, r)
+				bw.Flush()
+			}
+		},
+	} {
+		if got := testing.AllocsPerRun(20, pass) / float64(len(recs)); got != 0 {
+			t.Errorf("%s: %.2f allocations per record, want 0", name, got)
+		}
 	}
 }

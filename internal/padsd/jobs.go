@@ -1,7 +1,6 @@
 package padsd
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -15,14 +14,11 @@ import (
 	"sync"
 	"time"
 
-	"pads/internal/accum"
 	"pads/internal/cliutil"
-	"pads/internal/fmtconv"
+	"pads/internal/core"
 	"pads/internal/padsrt"
 	"pads/internal/segment"
 	"pads/internal/telemetry"
-	"pads/internal/value"
-	"pads/internal/xmlgen"
 )
 
 // The async job API is the daemon face of internal/segment's out-of-core
@@ -46,21 +42,12 @@ import (
 type jobRequest struct {
 	Desc        string `json:"desc"`         // registry ID (required unless resuming)
 	File        string `json:"file"`         // data file, relative to JobDir
-	Mode        string `json:"mode"`         // accum (default) | xml | csv
 	Disc        string `json:"disc"`         // record discipline spec (cliutil syntax)
 	SegmentSize string `json:"segment_size"` // k/m/g suffixes
 	Workers     int    `json:"workers"`
 	Resume      string `json:"resume"` // manifest file name under JobDir
 
-	// Accum mode.
-	Track int `json:"track"`
-	Top   int `json:"top"`
-	// XML mode.
-	Root string `json:"root"`
-	// CSV mode.
-	Delims     string `json:"delims"`
-	DateFmt    string `json:"datefmt"`
-	SkipErrors bool   `json:"skip_errors"`
+	outputSpec
 }
 
 // jobState is one job's mutable record.
@@ -72,6 +59,7 @@ type jobState struct {
 	progress segment.Progress
 	rep      *segment.Report
 	req      jobRequest
+	out      core.Output
 	manifest string
 	outPath  string
 	quarPath string
@@ -144,10 +132,6 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	if req.Mode == "" {
 		req.Mode = "accum"
 	}
-	if req.Mode != "accum" && req.Mode != "xml" && req.Mode != "csv" {
-		http.Error(w, fmt.Sprintf("unknown job mode %q (accum, xml, csv)", req.Mode), http.StatusBadRequest)
-		return
-	}
 
 	resume := req.Resume != ""
 	var manifest, dataPath string
@@ -198,6 +182,11 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	e, ok := s.reg.get(req.Desc)
 	if !ok {
 		http.Error(w, "unknown description (upload first: POST /v1/descriptions)", http.StatusNotFound)
+		return
+	}
+	out, err := req.output(e.desc)
+	if err != nil {
+		http.Error(w, fmt.Sprintf("bad job request: %v", err), http.StatusBadRequest)
 		return
 	}
 	segSize, err := cliutil.ParseSize(req.SegmentSize)
@@ -265,10 +254,10 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	s.jobOwned[manifest] = id
 	ctx, cancel := context.WithCancel(context.Background())
 	j := &jobState{
-		id: id, state: "running", req: req, manifest: manifest,
+		id: id, state: "running", req: req, out: out, manifest: manifest,
 		quarPath: quarSibling(manifest), created: time.Now(), cancel: cancel,
 	}
-	if req.Mode != "accum" {
+	if _, ok := out.(core.Stream); ok {
 		j.outPath = outSibling(manifest)
 	}
 	s.jobs[id] = j
@@ -349,30 +338,15 @@ func (s *Server) runJob(ctx context.Context, cancel context.CancelFunc, j *jobSt
 		j.errMsg = err.Error()
 	}
 
-	f, err := os.Open(dataPath)
-	if err != nil {
-		fail(err)
-		return
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		fail(err)
-		return
-	}
-
 	in := e.desc.Interp.Clone()
 	stats := telemetry.NewStats()
 	in.Stats = stats
 	// The same per-parse resource guards as the request path: segment
 	// workers build their sources from these options.
 	opts = append(opts, padsrt.WithLimits(s.cfg.Limits))
-	cfg := segment.Config{
+	rep, err := e.desc.RunJob(j.out, segment.Config{
 		Interp:   in,
-		DescHash: segment.HashBytes([]byte(e.desc.Source)),
-		Data:     f,
 		DataPath: dataPath,
-		DataSize: st.Size(),
 		Source:   opts,
 		SegSize:  segSize,
 		Workers:  workers,
@@ -380,57 +354,14 @@ func (s *Server) runJob(ctx context.Context, cancel context.CancelFunc, j *jobSt
 		Resume:   resume,
 		QuarPath: j.quarPath,
 		Stats:    stats,
+		OutPath:  j.outPath,
 		Cancel:   ctx.Err,
 		Progress: func(p segment.Progress) {
 			j.mu.Lock()
 			j.progress = p
 			j.mu.Unlock()
 		},
-	}
-	switch j.req.Mode {
-	case "accum":
-		cfg.AccumCfg = accum.Config{MaxTracked: j.req.Track, TopN: j.req.Top}
-	case "xml":
-		shape, err := in.Shape()
-		if err != nil {
-			fail(err)
-			return
-		}
-		root := j.req.Root
-		if root == "" {
-			root = "source"
-		}
-		cfg.Mode = "xml"
-		cfg.OutPath = j.outPath
-		cfg.EmitPrologue = func(out *bytes.Buffer, header value.Value) {
-			fmt.Fprintf(out, "<%s>\n", root)
-			if header != nil {
-				xmlgen.WriteXML(out, header, "header", 1)
-			}
-		}
-		cfg.Emit = func(out *bytes.Buffer, v value.Value) {
-			xmlgen.WriteXML(out, v, shape.RecordType, 1)
-		}
-		cfg.EmitEpilogue = func(out *bytes.Buffer) { fmt.Fprintf(out, "</%s>\n", root) }
-	case "csv":
-		delims := j.req.Delims
-		if delims == "" {
-			delims = "|"
-		}
-		fc := fmtconv.New(strings.Split(delims, ",")...)
-		fc.DateFormat = j.req.DateFmt
-		skip := j.req.SkipErrors
-		cfg.Mode = "csv"
-		cfg.OutPath = j.outPath
-		cfg.Emit = func(out *bytes.Buffer, v value.Value) {
-			if skip && v.PD().Nerr > 0 {
-				return
-			}
-			fc.WriteRecord(out, v)
-		}
-	}
-
-	rep, err := segment.Run(cfg)
+	})
 	s.agg.fold(stats)
 	if err != nil {
 		fail(err)
@@ -499,12 +430,11 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "job did not complete: "+j.snapshot().Error, http.StatusGone)
 		return
 	}
-	if rep != nil && rep.Acc != nil {
+	if p, ok := j.out.(*core.Profile); ok {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		w.Header().Set("X-Pads-Records", strconv.Itoa(rep.Records))
 		w.Header().Set("X-Pads-Errored", strconv.Itoa(rep.Errored))
-		fmt.Fprintf(w, "%d records\n\n", rep.Records)
-		rep.Acc.Report(w, "<top>")
+		p.Report(w, rep.Acc, rep.Records)
 		return
 	}
 	f, err := os.Open(outPath)

@@ -37,6 +37,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"runtime"
 	"strconv"
 	"strings"
@@ -48,13 +49,10 @@ import (
 	"pads/internal/cliutil"
 	"pads/internal/core"
 	"pads/internal/fault"
-	"pads/internal/fmtconv"
 	"pads/internal/interp"
 	"pads/internal/padsrt"
 	"pads/internal/segment"
 	"pads/internal/telemetry"
-	"pads/internal/value"
-	"pads/internal/xmlgen"
 )
 
 // Config tunes the daemon. The zero value gets production-shaped defaults
@@ -235,9 +233,9 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("POST /v1/descriptions", s.wrap(s.handleUpload))
 	s.mux.HandleFunc("GET /v1/descriptions", s.wrap(s.handleList))
 	s.mux.HandleFunc("GET /v1/descriptions/{id}", s.wrap(s.handleDescribe))
-	s.mux.HandleFunc("POST /v1/parse/accum", s.wrap(s.parseEndpoint(modeAccum)))
-	s.mux.HandleFunc("POST /v1/parse/xml", s.wrap(s.parseEndpoint(modeXML)))
-	s.mux.HandleFunc("POST /v1/parse/csv", s.wrap(s.parseEndpoint(modeCSV)))
+	s.mux.HandleFunc("POST /v1/parse/accum", s.wrap(s.parseEndpoint("accum", "text/plain; charset=utf-8")))
+	s.mux.HandleFunc("POST /v1/parse/xml", s.wrap(s.parseEndpoint("xml", "text/xml; charset=utf-8")))
+	s.mux.HandleFunc("POST /v1/parse/csv", s.wrap(s.parseEndpoint("csv", "text/plain; charset=utf-8")))
 	s.mux.HandleFunc("POST /v1/jobs", s.wrap(s.handleJobSubmit))
 	s.mux.HandleFunc("GET /v1/jobs", s.wrap(s.handleJobList))
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.wrap(s.handleJobStatus))
@@ -278,6 +276,9 @@ func (w *respWriter) Write(p []byte) (int, error) {
 	}
 	return w.ResponseWriter.Write(p)
 }
+
+// Unwrap lets http.ResponseController reach the connection's writer.
+func (w *respWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
 // wrap is the containment middleware: request metrics plus per-request
 // panic recovery, so one poisoned request can never take the daemon down
@@ -447,13 +448,51 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 
 // --- parse endpoints ---
 
-type parseMode int
+// outputSpec is the output half of a parse or job request: the mode and
+// its parameters, from a /v1/parse/{mode} query string or a POST /v1/jobs
+// body. The outputs themselves are core's, shared with the CLIs.
+type outputSpec struct {
+	Mode string `json:"mode"` // accum (default) | xml | csv
 
-const (
-	modeAccum parseMode = iota
-	modeXML
-	modeCSV
-)
+	// Accum mode. Field (?field=, stream requests only) reports one
+	// component.
+	Track int    `json:"track"`
+	Top   int    `json:"top"`
+	Field string `json:"-"`
+	// XML mode.
+	Root string `json:"root"`
+	// CSV mode.
+	Delims     string `json:"delims"`
+	DateFmt    string `json:"datefmt"`
+	SkipErrors bool   `json:"skip_errors"`
+}
+
+// querySpec reads a stream request's output parameters.
+func querySpec(mode string, q url.Values) outputSpec {
+	track, _ := strconv.Atoi(q.Get("track"))
+	top, _ := strconv.Atoi(q.Get("top"))
+	return outputSpec{
+		Mode: mode, Track: track, Top: top, Field: q.Get("field"), Root: q.Get("root"),
+		Delims: q.Get("delims"), DateFmt: q.Get("datefmt"), SkipErrors: q.Get("skip_errors") == "1",
+	}
+}
+
+// output builds the spec's output for description d.
+func (o outputSpec) output(d *core.Description) (core.Output, error) {
+	switch o.Mode {
+	case "accum":
+		return &core.Profile{Config: accum.Config{MaxTracked: o.Track, TopN: o.Top}, Field: o.Field}, nil
+	case "xml":
+		x, err := d.XML(o.Root)
+		if err != nil {
+			return nil, err
+		}
+		return x, nil
+	case "csv":
+		return core.NewDelimited("csv", o.Delims, o.DateFmt, o.SkipErrors), nil
+	}
+	return nil, fmt.Errorf("unknown mode %q (accum, xml, csv)", o.Mode)
+}
 
 // ctxReader fails reads once ctx is done, so a parse blocked between body
 // chunks notices cancellation at its next read even when the runtime's own
@@ -563,13 +602,19 @@ func (s *Server) classify(err error) (int, string) {
 	return http.StatusBadRequest, err.Error()
 }
 
-func (s *Server) parseEndpoint(mode parseMode) http.HandlerFunc {
+func (s *Server) parseEndpoint(mode, contentType string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		// Admission, in cost order: nothing below buffers a single body
 		// byte until every gate has passed.
-		e, ok := s.reg.get(r.URL.Query().Get("desc"))
+		q := r.URL.Query()
+		e, ok := s.reg.get(q.Get("desc"))
 		if !ok {
 			http.Error(w, "unknown description (upload first: POST /v1/descriptions)", http.StatusNotFound)
+			return
+		}
+		out, err := querySpec(mode, q).output(e.desc)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
 		tn, err := s.tenantFor(r)
@@ -661,10 +706,7 @@ func (s *Server) parseEndpoint(mode parseMode) http.HandlerFunc {
 		}
 		body = &ctxReader{ctx: ctx, r: body}
 
-		opts, err := cliutil.SourceOptions(
-			r.URL.Query().Get("disc"),
-			r.URL.Query().Get("ebcdic") == "1",
-			r.URL.Query().Get("le") == "1")
+		opts, err := cliutil.SourceOptions(q.Get("disc"), q.Get("ebcdic") == "1", q.Get("le") == "1")
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
@@ -698,115 +740,63 @@ func (s *Server) parseEndpoint(mode parseMode) http.HandlerFunc {
 		})
 
 		quarBefore = tn.quar.total()
-		s.runParse(mode, w, r, rr, settle) // the response is finished inside
+		w.Header().Set("Content-Type", contentType)
+		s.runParse(out, w, rr, settle) // the response is finished inside
 	}
 }
 
-// runParse drives the record loop for one mode and finishes the response,
+// runParse writes out over the scan of rr and finishes the response,
 // including the error-to-status mapping when the parse dies before (or
 // during) streaming. It calls settle once the scan is over and before the
 // response's final write.
-func (s *Server) runParse(mode parseMode, w http.ResponseWriter, r *http.Request, rr *interp.RecordReader, settle func()) error {
-	q := r.URL.Query()
-	switch mode {
-	case modeAccum:
+func (s *Server) runParse(out core.Output, w http.ResponseWriter, rr *interp.RecordReader, settle func()) error {
+	setCounts := func() {
+		recs, errs := rr.Counts()
+		w.Header().Set("X-Pads-Records", strconv.Itoa(recs))
+		w.Header().Set("X-Pads-Errored", strconv.Itoa(errs))
+	}
+	if p, ok := out.(*core.Profile); ok {
 		// Aggregation buffers no records — only the accumulator — so the
 		// status can honestly reflect the whole scan before the first byte
 		// of the report is written.
-		track, _ := strconv.Atoi(q.Get("track"))
-		top, _ := strconv.Atoi(q.Get("top"))
-		acc := accum.New(accum.Config{MaxTracked: track, TopN: top})
-		n := 0
-		for rr.More() {
-			acc.Add(rr.Read())
-			n++
-		}
+		acc, n, err := p.Fold(rr)
 		settle()
-		err := rr.Err()
-		if err != nil && !errors.Is(err, io.EOF) {
+		if err != nil {
 			code, msg := s.classify(err)
 			http.Error(w, msg, code)
 			return err
 		}
-		recs, errs := rr.Counts()
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		w.Header().Set("X-Pads-Records", strconv.Itoa(recs))
-		w.Header().Set("X-Pads-Errored", strconv.Itoa(errs))
+		setCounts()
 		bw := bufio.NewWriter(w)
-		fmt.Fprintf(bw, "%d records\n\n", n)
-		if f := q.Get("field"); f != "" {
-			if err := acc.ReportField(bw, "<top>", f); err != nil {
-				bw.Flush()
-				return err
-			}
-		} else {
-			acc.Report(bw, "<top>")
-		}
-		return bw.Flush()
-
-	case modeXML, modeCSV:
-		// Streaming conversion cannot retract a 200, so scan outcome and
-		// counts travel as HTTP trailers.
-		w.Header().Set("Trailer", "X-Pads-Records, X-Pads-Errored, X-Pads-Error")
-		bw := bufio.NewWriterSize(w, 32<<10)
-		var emit func(v value.Value) error
-		var finish func()
-		if mode == modeXML {
-			root := q.Get("root")
-			if root == "" {
-				root = "source"
-			}
-			w.Header().Set("Content-Type", "text/xml; charset=utf-8")
-			fmt.Fprintf(bw, "<%s>\n", root)
-			if h := rr.Header(); h != nil {
-				xmlgen.WriteXML(bw, h, "header", 1)
-			}
-			emit = func(v value.Value) error {
-				return xmlgen.WriteXML(bw, v, rr.RecordTypeName(), 1)
-			}
-			finish = func() { fmt.Fprintf(bw, "</%s>\n", root) }
-		} else {
-			delims := q.Get("delims")
-			if delims == "" {
-				delims = "|"
-			}
-			f := fmtconv.New(strings.Split(delims, ",")...)
-			f.DateFormat = q.Get("datefmt")
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			skipErrs := q.Get("skip_errors") == "1"
-			emit = func(v value.Value) error {
-				if skipErrs && v.PD().Nerr > 0 {
-					return nil
-				}
-				_, err := f.WriteRecord(bw, v)
-				return err
-			}
-			finish = func() {}
-		}
-		for rr.More() {
-			if err := emit(rr.Read()); err != nil {
-				break
-			}
-		}
-		settle()
-		err := rr.Err()
-		if errors.Is(err, io.EOF) {
-			err = nil
-		}
-		finish()
-		bw.Flush()
-		recs, errs := rr.Counts()
-		w.Header().Set("X-Pads-Records", strconv.Itoa(recs))
-		w.Header().Set("X-Pads-Errored", strconv.Itoa(errs))
-		if err != nil {
-			_, msg := s.classify(err) // count the abort kind for /metrics
-			w.Header().Set("X-Pads-Error", msg)
-		} else {
-			w.Header().Set("X-Pads-Error", "")
+		err = p.Report(bw, acc, n)
+		if ferr := bw.Flush(); err == nil {
+			err = ferr
 		}
 		return err
 	}
-	return nil
+
+	// Streaming conversion cannot retract a 200, so scan outcome and counts
+	// travel as HTTP trailers. A failed write ends the scan and is reported
+	// there too. The response streams while the body is still arriving: an
+	// HTTP/1.x server otherwise discards or closes the unread body at the
+	// first flush, cutting the parse short. The client must read the
+	// response as it sends (Go's client and curl do); HTTP/2 is always
+	// full duplex.
+	http.NewResponseController(w).EnableFullDuplex()
+	w.Header().Set("Trailer", "X-Pads-Records, X-Pads-Errored, X-Pads-Error")
+	bw := bufio.NewWriterSize(w, 32<<10)
+	err := core.WriteStream(bw, out.(core.Stream), rr)
+	settle()
+	if ferr := bw.Flush(); err == nil {
+		err = ferr
+	}
+	setCounts()
+	msg := ""
+	if err != nil {
+		_, msg = s.classify(err) // count the abort kind for /metrics
+	}
+	w.Header().Set("X-Pads-Error", msg)
+	return err
 }
 
 // --- drain ---

@@ -7,7 +7,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -513,4 +515,64 @@ func TestTenantsEndpoint(t *testing.T) {
 		t.Fatalf("tenant snapshot %+v", in)
 	}
 	_ = fmt.Sprint() // keep fmt linked for debug edits
+}
+
+// TestStreamLargeBody: a streamed conversion whose output starts flowing
+// before the request body has all been read still parses the whole body.
+// Over HTTP/1.1 the server otherwise discards and closes an unread
+// remainder under 256 KB at the first flush, so a 168 KB body failed with
+// "invalid Read on closed Body" after the first few hundred records.
+func TestStreamLargeBody(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	id := upload(t, ts, clfSource(t))
+	const n = 2000
+	data := strings.Repeat(goodCLF, n)
+	for _, mode := range []string{"xml", "csv"} {
+		resp := parseReq(t, ts, "/v1/parse/"+mode+"?desc="+id, strings.NewReader(data), nil)
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d, %v", mode, resp.StatusCode, err)
+		}
+		if e := resp.Trailer.Get("X-Pads-Error"); e != "" {
+			t.Fatalf("%s: error trailer %q after %d bytes of output", mode, e, len(body))
+		}
+		if got := resp.Trailer.Get("X-Pads-Records"); got != strconv.Itoa(n) {
+			t.Fatalf("%s: %s records parsed, want %d", mode, got, n)
+		}
+	}
+}
+
+// TestXMLRootValidated: a root element name that is not an XML Name is
+// refused with 400 before any output is written or any job is created.
+func TestXMLRootValidated(t *testing.T) {
+	dir := t.TempDir()
+	_, ts := newTestServer(t, Config{JobDir: dir})
+	id := upload(t, ts, clfSource(t))
+	jobCorpus(t, dir, "data.log", 10)
+
+	resp := parseReq(t, ts, "/v1/parse/xml?desc="+id+"&root="+url.QueryEscape("a><b"), strings.NewReader(goodCLF), nil)
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || strings.HasPrefix(string(body), "<") {
+		t.Fatalf("stream: status %d, body %q; want 400 and no markup", resp.StatusCode, body)
+	}
+
+	resp, _ = submitJob(t, ts, `{"desc":"`+id+`","file":"data.log","mode":"xml","root":"a><b"}`)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("job: status %d, want 400", resp.StatusCode)
+	}
+	list, err := http.Get(ts.URL + "/v1/jobs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var jobs []JobInfo
+	err = json.NewDecoder(list.Body).Decode(&jobs)
+	list.Body.Close()
+	if err != nil || len(jobs) != 0 {
+		t.Fatalf("job list after a refused submit: %+v, %v; want none", jobs, err)
+	}
+	if ents, _ := os.ReadDir(dir); len(ents) != 1 {
+		t.Fatalf("job directory holds %d entries after a refused submit, want only the data file", len(ents))
+	}
 }

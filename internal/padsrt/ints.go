@@ -29,19 +29,12 @@ func uintMax(bits int) uint64 {
 	return 1<<uint(bits) - 1
 }
 
-// intMax / intMin bound signed widths.
+// intMax bounds signed widths.
 func intMax(bits int) int64 {
 	if bits >= 64 {
 		return 1<<63 - 1
 	}
 	return 1<<uint(bits-1) - 1
-}
-
-func intMin(bits int) int64 {
-	if bits >= 64 {
-		return -1 << 63
-	}
-	return -(1 << uint(bits-1))
 }
 
 // ReadAUint reads an ASCII unsigned decimal integer that must fit in the

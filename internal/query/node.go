@@ -135,25 +135,7 @@ func (n *Node) Text() string {
 	if n.isText {
 		return n.text
 	}
-	switch v := n.Val.(type) {
-	case *value.Uint:
-		return fmt.Sprintf("%d", v.Val)
-	case *value.Int:
-		return fmt.Sprintf("%d", v.Val)
-	case *value.Float:
-		return fmt.Sprintf("%g", v.Val)
-	case *value.Char:
-		return string(v.Val)
-	case *value.Str:
-		return v.Val
-	case *value.Date:
-		return v.Raw
-	case *value.IP:
-		return padsrt.FormatIP(v.Val)
-	case *value.Enum:
-		return v.Member
-	}
-	return ""
+	return value.Text(n.Val)
 }
 
 // Num returns the node's numeric interpretation, ok=false when it has none.

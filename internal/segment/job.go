@@ -126,7 +126,6 @@ type Report struct {
 	Quarantined int64
 	Poisoned    []PoisonedSeg
 	Acc         *accum.Accum // accum mode only
-	Header      value.Value
 }
 
 // segResult is one parsed segment, produced by a worker, consumed by the
@@ -541,7 +540,7 @@ func (j *job) completedReport() (*Report, error) {
 	rep := &Report{
 		Records: j.m.done.Records, Errored: j.m.done.Errored,
 		Segments: j.m.job.Segments, Skipped: len(j.m.segs),
-		Poisoned: j.poisonedFromManifest(), Header: j.rr.Header(),
+		Poisoned: j.poisonedFromManifest(),
 	}
 	if len(j.m.segs) > 0 {
 		rep.Quarantined = j.m.segs[len(j.m.segs)-1].QuarCount
@@ -778,6 +777,6 @@ func (j *job) run() (*Report, error) {
 	return &Report{
 		Records: j.records, Errored: j.errored, Segments: len(j.plan.Segs),
 		Skipped: j.skipped, Replayed: j.replayed, Quarantined: j.quarCount,
-		Poisoned: j.poisoned, Acc: j.acc, Header: j.rr.Header(),
+		Poisoned: j.poisoned, Acc: j.acc,
 	}, nil
 }

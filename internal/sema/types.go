@@ -199,12 +199,3 @@ func RegisterBase(b BaseInfo) *BaseInfo {
 	reg(b)
 	return old
 }
-
-// BaseNames returns the names of all registered base types (unordered).
-func BaseNames() []string {
-	names := make([]string, 0, len(baseTypes))
-	for n := range baseTypes {
-		names = append(names, n)
-	}
-	return names
-}

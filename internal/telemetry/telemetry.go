@@ -16,11 +16,9 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
-	"time"
 )
 
 // SourceStats counts padsrt.Source activity: the buffer, record, intern, and
@@ -101,9 +99,6 @@ type WorkerStat struct {
 	Bytes   uint64 `json:"bytes"`
 	WallNS  int64  `json:"wall_ns"`
 }
-
-// Wall returns the worker's wall-clock time.
-func (w WorkerStat) Wall() time.Duration { return time.Duration(w.WallNS) }
 
 // Stats aggregates every counter family for one parse (or one worker of a
 // parallel parse). The zero value is ready to use; maps allocate lazily.
@@ -226,7 +221,3 @@ func sortedKeys(m map[string]uint64) []string {
 	sort.Strings(keys)
 	return keys
 }
-
-// MarshalJSONIndent renders the stats as indented JSON (the counters block
-// attached to padsbench -json rows).
-func (s *Stats) MarshalJSONIndent() ([]byte, error) { return json.MarshalIndent(s, "", "  ") }

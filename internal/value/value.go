@@ -6,6 +6,7 @@ package value
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"pads/internal/padsrt"
@@ -216,6 +217,31 @@ func writeString(b *strings.Builder, v Value) {
 	default:
 		b.WriteString("<nil>")
 	}
+}
+
+// Text is a leaf's canonical text, shown alike by the XML embedding and
+// the query engine: decimal integers, %g floats, a date's raw text, dotted
+// IP addresses and enum member names. Compound values have none.
+func Text(v Value) string {
+	switch v := v.(type) {
+	case *Uint:
+		return strconv.FormatUint(v.Val, 10)
+	case *Int:
+		return strconv.FormatInt(v.Val, 10)
+	case *Float:
+		return fmt.Sprintf("%g", v.Val)
+	case *Char:
+		return string(v.Val)
+	case *Str:
+		return v.Val
+	case *Date:
+		return v.Raw
+	case *IP:
+		return padsrt.FormatIP(v.Val)
+	case *Enum:
+		return v.Member
+	}
+	return ""
 }
 
 // TotalErrors sums the error counts in a value tree's descriptors without

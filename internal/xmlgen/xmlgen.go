@@ -8,8 +8,8 @@ package xmlgen
 import (
 	"fmt"
 	"io"
-	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"pads/internal/dsl"
 	"pads/internal/padsrt"
@@ -91,35 +91,13 @@ func (p *printer) value(v value.Value, tag string, indent int) {
 		if v.PD().Nerr > 0 {
 			// A buggy leaf embeds its descriptor next to the value.
 			p.printf("%s<%s>\n", p.ind(indent), tag)
-			p.printf("%s<val>%s</val>\n", p.ind(indent+1), escape(leafText(v)))
+			p.printf("%s<val>%s</val>\n", p.ind(indent+1), escape(value.Text(v)))
 			p.pd(v.PD(), indent+1)
 			p.printf("%s</%s>\n", p.ind(indent), tag)
 			return
 		}
-		p.printf("%s<%s>%s</%s>\n", p.ind(indent), tag, escape(leafText(v)), tag)
+		p.printf("%s<%s>%s</%s>\n", p.ind(indent), tag, escape(value.Text(v)), tag)
 	}
-}
-
-func leafText(v value.Value) string {
-	switch v := v.(type) {
-	case *value.Uint:
-		return strconv.FormatUint(v.Val, 10)
-	case *value.Int:
-		return strconv.FormatInt(v.Val, 10)
-	case *value.Float:
-		return fmt.Sprintf("%g", v.Val)
-	case *value.Char:
-		return string(v.Val)
-	case *value.Str:
-		return v.Val
-	case *value.Date:
-		return v.Raw
-	case *value.IP:
-		return padsrt.FormatIP(v.Val)
-	case *value.Enum:
-		return v.Member
-	}
-	return ""
 }
 
 // pd writes the parse-descriptor element when the value carries errors —
@@ -135,6 +113,38 @@ func (p *printer) pd(pd *padsrt.PD, indent int) {
 	p.printf("%s<errCode>%s</errCode>\n", p.ind(indent+1), escape(pd.ErrCode.String()))
 	p.printf("%s<loc>%s</loc>\n", p.ind(indent+1), pd.Loc)
 	p.printf("%s</pd>\n", p.ind(indent))
+}
+
+// ValidName reports whether s is an XML 1.0 Name (Fifth Edition, production
+// [5]): a NameStartChar followed by NameChars. Element names written into
+// markup unescaped must pass it.
+func ValidName(s string) bool {
+	if s == "" || !utf8.ValidString(s) {
+		return false
+	}
+	for i, r := range s {
+		if !inRanges(r, nameStart) && (i == 0 || !inRanges(r, nameRest)) {
+			return false
+		}
+	}
+	return true
+}
+
+// nameStart are the NameStartChar ranges; nameRest adds the other NameChars.
+var (
+	nameStart = [][2]rune{{':', ':'}, {'A', 'Z'}, {'_', '_'}, {'a', 'z'}, {0xC0, 0xD6}, {0xD8, 0xF6},
+		{0xF8, 0x2FF}, {0x370, 0x37D}, {0x37F, 0x1FFF}, {0x200C, 0x200D}, {0x2070, 0x218F},
+		{0x2C00, 0x2FEF}, {0x3001, 0xD7FF}, {0xF900, 0xFDCF}, {0xFDF0, 0xFFFD}, {0x10000, 0xEFFFF}}
+	nameRest = [][2]rune{{'-', '.'}, {'0', '9'}, {0xB7, 0xB7}, {0x300, 0x36F}, {0x203F, 0x2040}}
+)
+
+func inRanges(r rune, ranges [][2]rune) bool {
+	for _, rg := range ranges {
+		if rg[0] <= r && r <= rg[1] {
+			return true
+		}
+	}
+	return false
 }
 
 // ---- XML Schema generation ----

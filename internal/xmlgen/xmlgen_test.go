@@ -133,3 +133,18 @@ func TestXMLEscaping(t *testing.T) {
 		t.Errorf("escaped = %q", out)
 	}
 }
+
+// TestValidName: element names follow the XML 1.0 Name production, so a
+// name that would break the markup around it is refused.
+func TestValidName(t *testing.T) {
+	for _, ok := range []string{"source", "log", "_x", "a-b.c9", "ns:root", "été", "A·b"} {
+		if !ValidName(ok) {
+			t.Errorf("ValidName(%q) = false, want true", ok)
+		}
+	}
+	for _, bad := range []string{"", "a><b", "9x", "-x", ".x", "a b", "a/b", "a&b", `a"b`, "x\xff", "·x"} {
+		if ValidName(bad) {
+			t.Errorf("ValidName(%q) = true, want false", bad)
+		}
+	}
+}

@@ -8,6 +8,7 @@ package pads_test
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -206,4 +207,59 @@ func jobOutput(t *testing.T, base, desc, mode, file string) []byte {
 		t.Fatalf("job %s result: status %d, %v", info.ID, resp.StatusCode, err)
 	}
 	return body
+}
+
+// TestResumeStreamWithoutOut: `-resume MANIFEST` alone resumes a padsfmt or
+// padsxml job, taking the output path from the manifest as it takes the
+// input path; a resume of a finished job re-reports it and leaves the
+// output as it was.
+func TestResumeStreamWithoutOut(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries; skipped with -short")
+	}
+	bin := buildTools(t)
+	work := t.TempDir()
+	var clf bytes.Buffer
+	if _, err := datagen.CLF(&clf, datagen.DefaultCLF(900)); err != nil {
+		t.Fatal(err)
+	}
+	dataPath := filepath.Join(work, "clf.data")
+	if err := os.WriteFile(dataPath, clf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tool := range []string{"padsfmt", "padsxml"} {
+		manifest := filepath.Join(work, tool+".manifest")
+		outPath := filepath.Join(work, tool+".out")
+		run(t, bin, tool, nil, "-desc", "testdata/clf.pads", "-out-of-core", "-segment-size", "64k",
+			"-manifest", manifest, "-out", outPath, dataPath)
+		want, err := os.ReadFile(outPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, stderr := run2(t, bin, tool, "-desc", "testdata/clf.pads", "-resume", manifest)
+		if !strings.Contains(stderr, "900 records") {
+			t.Fatalf("%s -resume: stderr %q, want the job's 900 records", tool, stderr)
+		}
+		if got, err := os.ReadFile(outPath); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%s -resume changed the finished output (%d bytes, was %d): %v", tool, len(got), len(want), err)
+		}
+	}
+}
+
+// TestPadsxmlRootValidated: padsxml refuses a -root that is not an XML
+// Name before it reads any data, writing no output.
+func TestPadsxmlRootValidated(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries; skipped with -short")
+	}
+	bin := buildTools(t)
+	cmd := exec.Command(filepath.Join(bin, "padsxml"), "-desc", "testdata/clf.pads", "-root", "a><b")
+	cmd.Stdin = strings.NewReader("")
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() != 1 || stdout.Len() != 0 || !strings.Contains(stderr.String(), "root element name") {
+		t.Fatalf("padsxml -root 'a><b': %v, stdout %q, stderr %q; want exit status 1 and no output", err, stdout.String(), stderr.String())
+	}
 }

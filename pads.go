@@ -12,10 +12,10 @@
 //
 //	desc, err := pads.CompileFile("weblog.pads")
 //	rr, err := desc.Records(pads.NewSource(file), nil)
-//	for rr.More() {
-//	    rec := rr.Read()
+//	n, err := pads.Scan(rr, func(rec pads.Value) error {
 //	    if rec.PD().Nerr > 0 { /* inspect the parse descriptor */ }
-//	}
+//	    return nil
+//	})
 //
 // See the examples directory for complete programs and DESIGN.md for the
 // mapping from the paper's sections to this module's packages.
@@ -166,6 +166,11 @@ func NewMask(m Mask) *MaskNode { return padsrt.NewMaskNode(m) }
 
 // RecordReader iterates a data source one record at a time.
 type RecordReader = interp.RecordReader
+
+// Scan calls each on every record rr reads and returns how many it read;
+// an error from each ends the scan and is returned, and the end of the
+// input is not an error.
+func Scan(rr *RecordReader, each func(Value) error) (int, error) { return core.Scan(rr, each) }
 
 // Accum is a statistical profile of a data source (section 5.2).
 type Accum = accum.Accum

@@ -2,6 +2,7 @@ package pads_test
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -284,5 +285,36 @@ func TestPublicStates(t *testing.T) {
 	}
 	if pads.Ignore.DoSet() || !pads.CheckAndSet.DoCheck() || !pads.Set.DoSet() {
 		t.Error("mask bits broken")
+	}
+}
+
+// TestScan: pads.Scan visits every record in order and counts them, an
+// error from the callback stops the scan and comes back unchanged, and the
+// end of the input is not an error.
+func TestScan(t *testing.T) {
+	desc := compileTestdata(t, "clf.pads")
+	var data bytes.Buffer
+	if _, err := pads.GenerateCLF(&data, pads.DefaultCLF(50)); err != nil {
+		t.Fatal(err)
+	}
+	rr, err := desc.Records(pads.NewBytesSource(data.Bytes()), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := 0
+	n, err := pads.Scan(rr, func(pads.Value) error { seen++; return nil })
+	if err != nil || n != 50 || seen != 50 {
+		t.Fatalf("Scan = %d, %v after %d visits; want 50 records, no error", n, err, seen)
+	}
+	rr, _ = desc.Records(pads.NewBytesSource(data.Bytes()), nil)
+	stop := errors.New("stop")
+	n, err = pads.Scan(rr, func(pads.Value) error {
+		if seen--; seen == 40 {
+			return stop
+		}
+		return nil
+	})
+	if err != stop || n != 10 {
+		t.Fatalf("Scan with a failing callback = %d, %v; want 10, the callback's error", n, err)
 	}
 }

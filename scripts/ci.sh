@@ -74,10 +74,11 @@ grep -Eq '^[a-z_][a-z_0-9]*(;[a-z_0-9]+)+ [0-9]+$' "$tmp/folded.txt"
 go test -run 'TestDisabledProfilingNoAllocs' -count=1 ./internal/interp >/dev/null
 
 # Value-allocation pins (docs/IR.md): the VM's allocations per record, the
-# flat live heap of its scans, and the accumulator's allocation-free Add. They
-# run here without -race, whose runtime changes allocation behaviour.
+# flat live heap of its scans, the accumulator's allocation-free Add and the
+# delimited formatter's allocation-free Append/WriteRecord. They run here
+# without -race, whose runtime changes allocation behaviour.
 go test -run 'TestVMAllocsPerRecord|TestVMLiveHeapFlat' -count=1 ./internal/interp >/dev/null
-go test -run 'TestAddAllocs' -count=1 ./internal/accum >/dev/null
+go test -run 'TestAddAllocs|TestAppendAllocs' -count=1 ./internal/accum ./internal/fmtconv >/dev/null
 
 # Robustness smoke test (docs/ROBUSTNESS.md): the fuzz targets must survive
 # a short budget, and the budget/quarantine flags must behave on a corpus
@@ -143,6 +144,18 @@ else
 fi
 cmp -s "$tmp/ooc-full.report" "$tmp/ooc-resumed.report"
 cmp -s "$tmp/ooc-full.q" "$tmp/ooc-kill.q"
+
+# The stream outputs take the same path: padsfmt and padsxml out of core,
+# over several 64k segments on two workers, write byte for byte what their
+# sequential runs write.
+"$tmp/padsgen" -corpus sirius -n 20000 -seed 5 >"$tmp/mid.data"
+for tool in padsfmt padsxml; do
+    "$tmp/$tool" -desc testdata/sirius.pads "$tmp/mid.data" >"$tmp/$tool.seq"
+    "$tmp/$tool" -desc testdata/sirius.pads -out-of-core -segment-size 64k \
+        -workers 2 -manifest "$tmp/$tool.manifest" -out "$tmp/$tool.ooc" \
+        "$tmp/mid.data" 2>/dev/null
+    cmp -s "$tmp/$tool.seq" "$tmp/$tool.ooc"
+done
 
 # Daemon chaos smoke (docs/ROBUSTNESS.md): start a real padsd process with
 # chaos mode on, replay the seeded fault corpus through its HTTP surface,
