@@ -40,6 +40,6 @@ func main() {
 	(&cliutil.Tool{
 		Name: "padsxml", Desc: desc, Opts: opts, Workers: *workers,
 		Out: out, OutPath: *outPath, DataArg: flag.Arg(0),
-		Seg: segFlags, Robust: robustFlags, Tel: &cliutil.Telemetry{}, Prof: &cliutil.Profiling{},
+		Seg: segFlags, Robust: robustFlags,
 	}).Run()
 }

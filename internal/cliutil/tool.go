@@ -49,8 +49,15 @@ func Finish(err error, closers ...io.Closer) {
 }
 
 // Run runs the tool, exiting on failure: status 3 for an exhausted error
-// budget or a poisoned segment, 1 for anything else.
+// budget or a poisoned segment, 1 for anything else. Tel and Prof may be
+// nil for a tool without those flags.
 func (t *Tool) Run() {
+	if t.Tel == nil {
+		t.Tel = &Telemetry{}
+	}
+	if t.Prof == nil {
+		t.Prof = &Profiling{}
+	}
 	if t.Seg.Active() {
 		t.runJob()
 		return
@@ -66,72 +73,64 @@ func (t *Tool) Run() {
 	}
 	defer in.Close()
 	r := bufio.NewReaderSize(in, 1<<20)
-	opts := t.Prof.SourceOptions(t.Tel.SourceOptions(t.Opts))
 
-	switch out := t.Out.(type) {
-	case *core.Profile:
+	if p, ok := t.Out.(*core.Profile); ok && t.Workers != 1 {
+		// Record-sharded parallel accumulation over the whole input in
+		// memory; the segment-ordered merge keeps the exact statistics
+		// identical to a sequential run (docs/PARALLEL.md).
 		var acc *accum.Accum
 		var n int
-		if t.Workers != 1 {
-			// Record-sharded parallel accumulation over the whole input in
-			// memory; the segment-ordered merge keeps the exact statistics
-			// identical to a sequential run (docs/PARALLEL.md).
-			var data []byte
-			if data, err = io.ReadAll(r); err == nil {
-				acc, n, err = t.Desc.AccumulateParallel(data, t.Opts, out.Config, t.Workers)
-			}
-		} else {
-			acc, n, err = t.Desc.AccumulateReader(r, opts, out.Config)
+		data, err := io.ReadAll(r)
+		if err == nil {
+			acc, n, err = t.Desc.AccumulateParallel(data, t.Opts, p.Config, t.Workers)
 		}
 		Finish(err, rob, t.Prof, t.Tel)
-		writeReport(out, acc, n)
-	case core.Stream:
-		rr, err := t.Desc.Records(padsrt.NewSource(r, opts...), nil)
-		if err != nil {
-			Finish(err, rob, t.Prof, t.Tel)
-		}
-		rr.SetPolicy(rob.Policy)
-		sink := os.Stdout
-		if t.OutPath != "" {
-			if sink, err = os.Create(t.OutPath); err != nil {
-				Finish(err, rob, t.Prof, t.Tel)
-			}
-		}
-		w := bufio.NewWriterSize(sink, 1<<20)
-		err = core.WriteStream(w, out, rr)
-		if ferr := w.Flush(); err == nil {
-			err = ferr
-		}
-		if sink != os.Stdout {
-			if cerr := sink.Close(); err == nil {
-				err = cerr
-			}
-		}
-		Finish(err, rob, t.Prof, t.Tel)
+		Finish(writeOut("", func(w io.Writer) error { return p.Report(w, acc, n) }))
+		return
 	}
+	opts := t.Prof.SourceOptions(t.Tel.SourceOptions(t.Opts))
+	rr, err := t.Desc.Records(padsrt.NewSource(r, opts...), nil)
+	if err == nil {
+		rr.SetPolicy(rob.Policy)
+		err = writeOut(t.OutPath, func(w io.Writer) error { return t.Out.Write(w, rr) })
+	}
+	Finish(err, rob, t.Prof, t.Tel)
 }
 
-func writeReport(p *core.Profile, acc *accum.Accum, n int) {
-	w := bufio.NewWriter(os.Stdout)
-	err := p.Report(w, acc, n)
+// writeOut creates the file path ("" is stdout), writes it through a
+// buffer with write, and closes it; the first error is returned.
+func writeOut(path string, write func(w io.Writer) error) error {
+	sink := os.Stdout
+	if path != "" {
+		var err error
+		if sink, err = os.Create(path); err != nil {
+			return err
+		}
+	}
+	w := bufio.NewWriterSize(sink, 1<<20)
+	err := write(w)
 	if ferr := w.Flush(); err == nil {
 		err = ferr
 	}
-	if err != nil {
-		Fatal(err)
+	if sink != os.Stdout {
+		if cerr := sink.Close(); err == nil {
+			err = cerr
+		}
 	}
+	return err
 }
 
 // runJob runs the tool out of core (docs/ROBUSTNESS.md, "Out-of-core
 // jobs"): segment-at-a-time parsing with a durable job manifest. The
 // segment runner owns the quarantine file and applies the error budget per
 // segment, so the Robustness block is bypassed; telemetry still folds in at
-// each commit.
+// each commit. A job with an output file leaves its output there and
+// summarizes on stderr; one without (the profile) prints its output.
 func (t *Tool) runJob() {
-	rep, err := t.job()
+	rep, outPath, err := t.job()
 	Finish(err, t.Prof, t.Tel)
-	if p, ok := t.Out.(*core.Profile); ok {
-		writeReport(p, rep.Acc, rep.Records)
+	if outPath == "" {
+		Finish(writeOut("", func(w io.Writer) error { return t.Out.Result(w, rep, "") }))
 	} else {
 		fmt.Fprintf(os.Stderr, "%s: %d records (%d errored) across %d segments\n", t.Name, rep.Records, rep.Errored, rep.Segments)
 	}
@@ -148,19 +147,20 @@ func (t *Tool) runJob() {
 
 // job opens the input (out-of-core parsing preads a real file, not stdin),
 // resolves the manifest path, and runs the segmented job. A resume takes
-// its input and output paths from the manifest unless they are given.
-func (t *Tool) job() (*segment.Report, error) {
+// its input and output paths from the manifest unless they are given. It
+// returns the job's output file, "" when it has none.
+func (t *Tool) job() (*segment.Report, string, error) {
 	sf := t.Seg
 	dataPath, outPath, manifestPath := t.DataArg, t.OutPath, sf.Manifest
 	resume := sf.Resume != ""
 	if resume {
 		if sf.OutOfCore || sf.Manifest != "" {
-			return nil, fmt.Errorf("-resume names the manifest itself; drop -out-of-core and -manifest")
+			return nil, "", fmt.Errorf("-resume names the manifest itself; drop -out-of-core and -manifest")
 		}
 		manifestPath = sf.Resume
 		info, err := segment.Peek(manifestPath)
 		if err != nil {
-			return nil, err
+			return nil, "", err
 		}
 		if dataPath == "" {
 			dataPath = info.File
@@ -168,18 +168,16 @@ func (t *Tool) job() (*segment.Report, error) {
 		if outPath == "" {
 			outPath = info.Out
 		}
-	} else if _, ok := t.Out.(core.Stream); ok && outPath == "" {
-		return nil, fmt.Errorf("-out-of-core needs -out FILE")
 	}
 	if dataPath == "" || dataPath == "-" {
-		return nil, fmt.Errorf("out-of-core parsing needs a seekable data file, not stdin")
+		return nil, "", fmt.Errorf("out-of-core parsing needs a seekable data file, not stdin")
 	}
 	if manifestPath == "" {
 		manifestPath = dataPath + ".manifest"
 	}
 	segSize, err := ParseSize(sf.SegSize)
 	if err != nil {
-		return nil, fmt.Errorf("bad -segment-size: %w", err)
+		return nil, "", fmt.Errorf("bad -segment-size: %w", err)
 	}
 
 	cfg := segment.Config{
@@ -199,5 +197,6 @@ func (t *Tool) job() (*segment.Report, error) {
 	if rf := t.Robust; rf.MaxErrors > 0 || rf.MaxErrorRate > 0 || rf.FailFast {
 		cfg.Policy = &interp.Policy{MaxErrors: rf.MaxErrors, MaxErrorRate: rf.MaxErrorRate, FailFast: rf.FailFast}
 	}
-	return t.Desc.RunJob(t.Out, cfg)
+	rep, err := t.Desc.RunJob(t.Out, cfg)
+	return rep, outPath, err
 }

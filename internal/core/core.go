@@ -21,6 +21,7 @@ import (
 	"pads/internal/codegen"
 	"pads/internal/datagen"
 	"pads/internal/dsl"
+	"pads/internal/fmtconv"
 	"pads/internal/interp"
 	"pads/internal/padsrt"
 	"pads/internal/query"
@@ -133,6 +134,17 @@ func (d *Description) GenerateGo(pkg string) (string, error) {
 
 // Schema emits the XML Schema of the canonical XML embedding.
 func (d *Description) Schema() string { return xmlgen.Schema(d.Desc) }
+
+// NewAccum builds an accumulator with the given tracking limits
+// (zero values select the paper's defaults: 1000 tracked, top 10 printed).
+func (d *Description) NewAccum(maxTracked, topN int) *accum.Accum {
+	return accum.New(accum.Config{MaxTracked: maxTracked, TopN: topN})
+}
+
+// NewFormatter builds a delimiter formatter (section 5.3.1).
+func (d *Description) NewFormatter(delims ...string) *fmtconv.Formatter {
+	return fmtconv.New(delims...)
+}
 
 // NewGenerator builds a random-data generator for the description.
 func (d *Description) NewGenerator(seed uint64) *datagen.Generator {

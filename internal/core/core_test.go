@@ -109,6 +109,12 @@ func TestGenerateGoAndSchema(t *testing.T) {
 	if _, err := g.GenerateType("version_t"); err != nil {
 		t.Error(err)
 	}
+	if f := d.NewFormatter("|"); f == nil {
+		t.Error("formatter nil")
+	}
+	if a := d.NewAccum(0, 0); a == nil {
+		t.Error("accum nil")
+	}
 }
 
 func TestStreamQuery(t *testing.T) {
@@ -192,9 +198,9 @@ func (w *failWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestWriteStreamStopsOnWriteError: a failed write ends the scan at that
+// TestStreamWriteStopsOnWriteError: a failed write ends the scan at that
 // record and is returned, for both stream outputs.
-func TestWriteStreamStopsOnWriteError(t *testing.T) {
+func TestStreamWriteStopsOnWriteError(t *testing.T) {
 	d, err := CompileFile(td("clf.pads"))
 	if err != nil {
 		t.Fatal(err)
@@ -207,17 +213,17 @@ func TestWriteStreamStopsOnWriteError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, out := range []Stream{x, NewDelimited("fmt", "", "", false)} {
+	for _, out := range []*Stream{x, NewDelimited("fmt", "", "", false)} {
 		rr, err := d.Records(padsrt.NewBytesSource(buf.Bytes()), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		err = WriteStream(&failWriter{n: 4096}, out, rr)
+		err = out.Write(&failWriter{n: 4096}, rr)
 		if err == nil || err.Error() != "disk full" {
-			t.Fatalf("%T: WriteStream = %v, want the write error", out, err)
+			t.Fatalf("%s: Write = %v, want the write error", out.mode, err)
 		}
 		if n, _ := rr.Counts(); n == 0 || n >= 200 {
-			t.Fatalf("%T: scan read %d of 200 records after the write failed", out, n)
+			t.Fatalf("%s: scan read %d of 200 records after the write failed", out.mode, n)
 		}
 	}
 	if _, err := d.XML("a><b"); err == nil {

@@ -39,42 +39,30 @@ func Scan(rr *interp.RecordReader, each func(value.Value) error) (int, error) {
 	return n, nil
 }
 
-// Output is one derived consumer. Configure sets an out-of-core job up to
-// produce it, including the mode its manifest records ("accum", "xml",
-// "fmt" or "csv"), so a job resumes only into the output it began.
+// Output is one derived consumer, written alike by every path: Write for a
+// sequential scan (the CLIs, padsd's stream endpoints), Configure and
+// Result for an out-of-core job (the CLIs' -out-of-core, padsd's jobs).
 type Output interface {
-	Configure(cfg *segment.Config)
-}
-
-// Stream is an output written record by record into the caller's writer:
-// Begin with the source header (nil when there is none), Record per record,
-// End. A Stream holds no mutable state, so out-of-core workers call Record
-// concurrently, each into its own segment buffer.
-type Stream interface {
-	Output
-	Begin(w io.Writer, header value.Value) error
-	Record(w io.Writer, v value.Value) error
-	End(w io.Writer) error
-}
-
-// WriteStream writes s over every record rr reads into w. End runs even
-// after a failed scan, so XML stays well-formed; the first error is
-// returned.
-func WriteStream(w io.Writer, s Stream, rr *interp.RecordReader) error {
-	err := s.Begin(w, rr.Header())
-	if err == nil {
-		_, err = Scan(rr, func(v value.Value) error { return s.Record(w, v) })
-	}
-	if eerr := s.End(w); err == nil {
-		err = eerr
-	}
-	return err
+	// Configure sets an out-of-core job up to produce the output,
+	// including the mode its manifest records ("accum", "xml", "fmt" or
+	// "csv"), so a job resumes only into the output it began.
+	Configure(cfg *segment.Config) error
+	// Write writes the output of a sequential scan of rr into w. An error
+	// from w ends the scan; the first error of either is returned.
+	Write(w io.Writer, rr *interp.RecordReader) error
+	// Result writes the output of a finished job into w: the profile of
+	// its merged accumulator, or a stream's bytes, read from the job's
+	// output file out.
+	Result(w io.Writer, rep *segment.Report, out string) error
 }
 
 // RunJob runs out as an out-of-core job (segment.Run) over the data file
 // cfg.DataPath. It opens and sizes the file and fills in the description's
 // hash, its interpreter (unless cfg.Interp is set) and the output.
 func (d *Description) RunJob(out Output, cfg segment.Config) (*segment.Report, error) {
+	if err := out.Configure(&cfg); err != nil {
+		return nil, err
+	}
 	f, err := os.Open(cfg.DataPath)
 	if err != nil {
 		return nil, err
@@ -88,15 +76,7 @@ func (d *Description) RunJob(out Output, cfg segment.Config) (*segment.Report, e
 		cfg.Interp = d.Interp
 	}
 	cfg.Data, cfg.DataSize, cfg.DescHash = f, st.Size(), segment.HashBytes([]byte(d.Source))
-	out.Configure(&cfg)
 	return segment.Run(cfg)
-}
-
-func configureStream(cfg *segment.Config, mode string, s Stream) {
-	cfg.Mode = mode
-	cfg.EmitPrologue = func(out *bytes.Buffer, header value.Value) { s.Begin(out, header) }
-	cfg.Emit = func(out *bytes.Buffer, v value.Value) { s.Record(out, v) }
-	cfg.EmitEpilogue = func(out *bytes.Buffer) { s.End(out) }
 }
 
 // Profile is the accumulator report of section 5.2: the record count, then
@@ -107,8 +87,25 @@ type Profile struct {
 }
 
 // Configure makes the job fold each segment into an accumulator, merged in
-// segment order.
-func (p *Profile) Configure(cfg *segment.Config) { cfg.AccumCfg = p.Config }
+// segment order. A profile has no output file.
+func (p *Profile) Configure(cfg *segment.Config) error {
+	cfg.AccumCfg, cfg.OutPath = p.Config, ""
+	return nil
+}
+
+// Write folds the whole scan, then writes its report: a failed scan writes
+// nothing.
+func (p *Profile) Write(w io.Writer, rr *interp.RecordReader) error {
+	acc, n, err := p.Fold(rr)
+	if err != nil {
+		return err
+	}
+	return p.Report(w, acc, n)
+}
+
+func (p *Profile) Result(w io.Writer, rep *segment.Report, _ string) error {
+	return p.Report(w, rep.Acc, rep.Records)
+}
 
 // Fold folds every record rr reads into a fresh accumulator.
 func (p *Profile) Fold(rr *interp.RecordReader) (*accum.Accum, int, error) {
@@ -132,16 +129,23 @@ func (p *Profile) Report(w io.Writer, acc *accum.Accum, records int) error {
 	return nil
 }
 
-// XML is the canonical XML stream of section 5.3.2: a root element holding
-// the source header as <header> and one element per record, named after
-// the record type.
-type XML struct {
-	root, record string
+// Stream is an output written record by record into the caller's writer:
+// begin with the source header (nil when there is none), record per
+// record, end; begin and end may be nil. A Stream holds no mutable state,
+// so out-of-core workers write records concurrently, each into its own
+// segment buffer.
+type Stream struct {
+	mode   string
+	begin  func(w io.Writer, header value.Value) error
+	record func(w io.Writer, v value.Value) error
+	end    func(w io.Writer) error
 }
 
-// XML builds the description's XML stream under the root element root
-// ("" means "source"), which must be an XML 1.0 Name.
-func (d *Description) XML(root string) (*XML, error) {
+// XML builds the canonical XML stream of section 5.3.2: a root element
+// named root ("" means "source"), which must be an XML 1.0 Name, holding
+// the source header as <header> and one element per record, named after
+// the record type.
+func (d *Description) XML(root string) (*Stream, error) {
 	if root == "" {
 		root = "source"
 	}
@@ -151,57 +155,86 @@ func (d *Description) XML(root string) (*XML, error) {
 	// A source that is not record shaped writes no records: opening its
 	// record reader fails first, with the shape's error.
 	shape, _ := d.Shape()
-	return &XML{root: root, record: shape.RecordType}, nil
+	return &Stream{
+		mode: "xml",
+		begin: func(w io.Writer, header value.Value) error {
+			if _, err := fmt.Fprintf(w, "<%s>\n", root); err != nil || header == nil {
+				return err
+			}
+			return xmlgen.WriteXML(w, header, "header", 1)
+		},
+		record: func(w io.Writer, v value.Value) error {
+			return xmlgen.WriteXML(w, v, shape.RecordType, 1)
+		},
+		end: func(w io.Writer) error {
+			_, err := fmt.Fprintf(w, "</%s>\n", root)
+			return err
+		},
+	}, nil
 }
 
-func (x *XML) Configure(cfg *segment.Config) { configureStream(cfg, "xml", x) }
-
-func (x *XML) Begin(w io.Writer, header value.Value) error {
-	if _, err := fmt.Fprintf(w, "<%s>\n", x.root); err != nil || header == nil {
-		return err
-	}
-	return xmlgen.WriteXML(w, header, "header", 1)
-}
-
-func (x *XML) Record(w io.Writer, v value.Value) error {
-	return xmlgen.WriteXML(w, v, x.record, 1)
-}
-
-func (x *XML) End(w io.Writer) error {
-	_, err := fmt.Fprintf(w, "</%s>\n", x.root)
-	return err
-}
-
-// Delimited is the delimited text of section 5.3.1, one line per record.
-type Delimited struct {
-	mode       string
-	f          *fmtconv.Formatter
-	skipErrors bool
-}
-
-// NewDelimited builds delimited output: delims is a comma-separated list,
-// one per nesting level ("" means "|"); dateFmt formats dates ("" keeps the
-// raw text); skipErrors omits records with parse errors. mode names the
-// output in job manifests: "fmt" for padsfmt, "csv" for padsd.
-func NewDelimited(mode, delims, dateFmt string, skipErrors bool) *Delimited {
+// NewDelimited builds the delimited text of section 5.3.1, one line per
+// record: delims is a comma-separated list, one per nesting level (""
+// means "|"); dateFmt formats dates ("" keeps the raw text); skipErrors
+// omits records with parse errors. mode names the output in job manifests:
+// "fmt" for padsfmt, "csv" for padsd.
+func NewDelimited(mode, delims, dateFmt string, skipErrors bool) *Stream {
 	if delims == "" {
 		delims = "|"
 	}
 	f := fmtconv.New(strings.Split(delims, ",")...)
 	f.DateFormat = dateFmt
-	return &Delimited{mode: mode, f: f, skipErrors: skipErrors}
+	return &Stream{mode: mode, record: func(w io.Writer, v value.Value) error {
+		if skipErrors && v.PD().Nerr > 0 {
+			return nil
+		}
+		_, err := f.WriteRecord(w, v)
+		return err
+	}}
 }
 
-func (d *Delimited) Configure(cfg *segment.Config) { configureStream(cfg, d.mode, d) }
-
-func (d *Delimited) Begin(io.Writer, value.Value) error { return nil }
-
-func (d *Delimited) Record(w io.Writer, v value.Value) error {
-	if d.skipErrors && v.PD().Nerr > 0 {
-		return nil
+// Configure makes the job render each segment's records into a buffer,
+// appended to cfg.OutPath in segment order, with begin and end around
+// them.
+func (s *Stream) Configure(cfg *segment.Config) error {
+	if cfg.OutPath == "" {
+		return fmt.Errorf("an out-of-core %s job needs an output file", s.mode)
 	}
-	_, err := d.f.WriteRecord(w, v)
+	cfg.Mode = s.mode
+	cfg.Emit = func(out *bytes.Buffer, v value.Value) { s.record(out, v) }
+	if s.begin != nil {
+		cfg.EmitPrologue = func(out *bytes.Buffer, header value.Value) { s.begin(out, header) }
+	}
+	if s.end != nil {
+		cfg.EmitEpilogue = func(out *bytes.Buffer) { s.end(out) }
+	}
+	return nil
+}
+
+// Write writes the stream over every record rr reads. The end is written
+// even after a failed scan, so XML stays well-formed.
+func (s *Stream) Write(w io.Writer, rr *interp.RecordReader) error {
+	var err error
+	if s.begin != nil {
+		err = s.begin(w, rr.Header())
+	}
+	if err == nil {
+		_, err = Scan(rr, func(v value.Value) error { return s.record(w, v) })
+	}
+	if s.end != nil {
+		if eerr := s.end(w); err == nil {
+			err = eerr
+		}
+	}
 	return err
 }
 
-func (d *Delimited) End(io.Writer) error { return nil }
+func (s *Stream) Result(w io.Writer, _ *segment.Report, out string) error {
+	f, err := os.Open(out)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	_, err = io.Copy(w, f)
+	return err
+}

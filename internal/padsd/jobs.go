@@ -61,7 +61,6 @@ type jobState struct {
 	req      jobRequest
 	out      core.Output
 	manifest string
-	outPath  string
 	quarPath string
 	created  time.Time
 	cancel   context.CancelFunc
@@ -257,9 +256,6 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		id: id, state: "running", req: req, out: out, manifest: manifest,
 		quarPath: quarSibling(manifest), created: time.Now(), cancel: cancel,
 	}
-	if _, ok := out.(core.Stream); ok {
-		j.outPath = outSibling(manifest)
-	}
 	s.jobs[id] = j
 	s.jobMu.Unlock()
 	s.met.jobsStarted.Add(1)
@@ -354,7 +350,7 @@ func (s *Server) runJob(ctx context.Context, cancel context.CancelFunc, j *jobSt
 		Resume:   resume,
 		QuarPath: j.quarPath,
 		Stats:    stats,
-		OutPath:  j.outPath,
+		OutPath:  outSibling(j.manifest),
 		Cancel:   ctx.Err,
 		Progress: func(p segment.Progress) {
 			j.mu.Lock()
@@ -419,7 +415,7 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	j.mu.Lock()
-	state, rep, outPath := j.state, j.rep, j.outPath
+	state, rep := j.state, j.rep
 	j.mu.Unlock()
 	switch state {
 	case "running":
@@ -430,21 +426,12 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "job did not complete: "+j.snapshot().Error, http.StatusGone)
 		return
 	}
-	if p, ok := j.out.(*core.Profile); ok {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		w.Header().Set("X-Pads-Records", strconv.Itoa(rep.Records))
-		w.Header().Set("X-Pads-Errored", strconv.Itoa(rep.Errored))
-		p.Report(w, rep.Acc, rep.Records)
-		return
-	}
-	f, err := os.Open(outPath)
-	if err != nil {
+	w.Header().Set("Content-Type", contentTypes[j.req.Mode])
+	w.Header().Set("X-Pads-Records", strconv.Itoa(rep.Records))
+	w.Header().Set("X-Pads-Errored", strconv.Itoa(rep.Errored))
+	if err := j.out.Result(w, rep, outSibling(j.manifest)); err != nil {
 		http.Error(w, fmt.Sprintf("job output: %v", err), http.StatusInternalServerError)
-		return
 	}
-	defer f.Close()
-	w.Header().Set("Content-Type", "application/octet-stream")
-	io.Copy(w, f)
 }
 
 func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {

@@ -207,6 +207,55 @@ func TestJobDrainCancelsAndResumeCompletes(t *testing.T) {
 	}
 }
 
+// TestJobResultHeaders: every mode's job result carries its stream
+// endpoint's content type and the job's counts; a stream whose output file
+// has gone answers 500 rather than an empty 200.
+func TestJobResultHeaders(t *testing.T) {
+	dir := t.TempDir()
+	_, ts := newTestServer(t, Config{JobDir: dir})
+	id := upload(t, ts, clfSource(t))
+	jobCorpus(t, dir, "data.log", 300)
+	for _, mode := range []string{"accum", "xml", "csv"} {
+		_, info := submitJob(t, ts, fmt.Sprintf(`{"desc":%q,"file":"data.log","mode":%q}`, id, mode))
+		done := waitJob(t, ts, info.ID)
+		if done.State != "done" {
+			t.Fatalf("%s job finished %q (%s), want done", mode, done.State, done.Error)
+		}
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + info.ID + "/result")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || len(body) == 0 {
+			t.Fatalf("%s result: status %d, %d bytes", mode, resp.StatusCode, len(body))
+		}
+		if got, want := resp.Header.Get("Content-Type"), contentTypes[mode]; got != want {
+			t.Errorf("%s result: Content-Type %q, want %q", mode, got, want)
+		}
+		if got := resp.Header.Get("X-Pads-Records"); got != fmt.Sprint(done.Records) {
+			t.Errorf("%s result: X-Pads-Records %q, want %d", mode, got, done.Records)
+		}
+		if got := resp.Header.Get("X-Pads-Errored"); got != fmt.Sprint(done.Errored) {
+			t.Errorf("%s result: X-Pads-Errored %q, want %d", mode, got, done.Errored)
+		}
+		if mode != "xml" {
+			continue
+		}
+		if err := os.Remove(filepath.Join(dir, info.ID+".out")); err != nil {
+			t.Fatal(err)
+		}
+		resp, err = http.Get(ts.URL + "/v1/jobs/" + info.ID + "/result")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusInternalServerError {
+			t.Errorf("xml result without its output file: status %d, want 500", resp.StatusCode)
+		}
+	}
+}
+
 func TestJobSubmitRefusedWhileDraining(t *testing.T) {
 	dir := t.TempDir()
 	s, ts := newTestServer(t, Config{JobDir: dir})

@@ -233,9 +233,9 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("POST /v1/descriptions", s.wrap(s.handleUpload))
 	s.mux.HandleFunc("GET /v1/descriptions", s.wrap(s.handleList))
 	s.mux.HandleFunc("GET /v1/descriptions/{id}", s.wrap(s.handleDescribe))
-	s.mux.HandleFunc("POST /v1/parse/accum", s.wrap(s.parseEndpoint("accum", "text/plain; charset=utf-8")))
-	s.mux.HandleFunc("POST /v1/parse/xml", s.wrap(s.parseEndpoint("xml", "text/xml; charset=utf-8")))
-	s.mux.HandleFunc("POST /v1/parse/csv", s.wrap(s.parseEndpoint("csv", "text/plain; charset=utf-8")))
+	s.mux.HandleFunc("POST /v1/parse/accum", s.wrap(s.parseEndpoint("accum")))
+	s.mux.HandleFunc("POST /v1/parse/xml", s.wrap(s.parseEndpoint("xml")))
+	s.mux.HandleFunc("POST /v1/parse/csv", s.wrap(s.parseEndpoint("csv")))
 	s.mux.HandleFunc("POST /v1/jobs", s.wrap(s.handleJobSubmit))
 	s.mux.HandleFunc("GET /v1/jobs", s.wrap(s.handleJobList))
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.wrap(s.handleJobStatus))
@@ -602,7 +602,15 @@ func (s *Server) classify(err error) (int, string) {
 	return http.StatusBadRequest, err.Error()
 }
 
-func (s *Server) parseEndpoint(mode, contentType string) http.HandlerFunc {
+// contentTypes is each mode's response type, for its stream endpoint and
+// its job results alike.
+var contentTypes = map[string]string{
+	"accum": "text/plain; charset=utf-8",
+	"xml":   "text/xml; charset=utf-8",
+	"csv":   "text/plain; charset=utf-8",
+}
+
+func (s *Server) parseEndpoint(mode string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		// Admission, in cost order: nothing below buffers a single body
 		// byte until every gate has passed.
@@ -740,7 +748,7 @@ func (s *Server) parseEndpoint(mode, contentType string) http.HandlerFunc {
 		})
 
 		quarBefore = tn.quar.total()
-		w.Header().Set("Content-Type", contentType)
+		w.Header().Set("Content-Type", contentTypes[mode])
 		s.runParse(out, w, rr, settle) // the response is finished inside
 	}
 }
@@ -785,7 +793,7 @@ func (s *Server) runParse(out core.Output, w http.ResponseWriter, rr *interp.Rec
 	http.NewResponseController(w).EnableFullDuplex()
 	w.Header().Set("Trailer", "X-Pads-Records, X-Pads-Errored, X-Pads-Error")
 	bw := bufio.NewWriterSize(w, 32<<10)
-	err := core.WriteStream(bw, out.(core.Stream), rr)
+	err := out.Write(bw, rr)
 	settle()
 	if ferr := bw.Flush(); err == nil {
 		err = ferr
