@@ -51,7 +51,10 @@ func main() {
 			float64(st.Events)/float64(st.Records), st.Bytes)
 	case *descPath != "":
 		desc := cliutil.MustCompile(*descPath)
-		g := desc.NewGenerator(*seed)
+		g, err := desc.NewGenerator(*seed)
+		if err != nil {
+			cliutil.Fatal(err)
+		}
 		for i := 0; i < *n; i++ {
 			data, err := g.GenerateSource()
 			if err != nil {

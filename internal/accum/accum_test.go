@@ -32,7 +32,11 @@ func compileFile(t *testing.T, name string) *interp.Interp {
 	if len(serrs) > 0 {
 		t.Fatalf("check: %v", serrs[0])
 	}
-	return interp.New(desc)
+	in, err := interp.New(desc)
+	if err != nil {
+		t.Fatalf("lower: %v", err)
+	}
+	return in
 }
 
 func uintVal(v uint64) value.Value {

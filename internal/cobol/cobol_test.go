@@ -78,7 +78,10 @@ func TestParseEBCDICBillingData(t *testing.T) {
 	if len(serrs) > 0 {
 		t.Fatalf("check: %v", serrs[0])
 	}
-	in := interp.New(desc)
+	in, err := interp.New(desc)
+	if err != nil {
+		t.Fatalf("lower: %v", err)
+	}
 
 	// Build one record by hand.
 	var rec []byte

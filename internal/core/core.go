@@ -71,7 +71,7 @@ func (e *CompileError) Error() string {
 	return b.String()
 }
 
-// Compile parses and checks a description.
+// Compile parses, checks and lowers a description.
 func Compile(src, name string) (*Description, error) {
 	prog, perrs := dsl.Parse(src)
 	if len(perrs) > 0 {
@@ -81,12 +81,26 @@ func Compile(src, name string) (*Description, error) {
 	if len(serrs) > 0 {
 		return nil, &CompileError{Name: name, Errs: serrs}
 	}
+	return newDescription(src, name, prog, desc)
+}
+
+// newDescription builds the interpreter for a checked description. A
+// description that cannot be lowered to the VM's program is a compile error.
+func newDescription(src, name string, prog *dsl.Program, desc *sema.Desc) (*Description, error) {
+	in, err := interp.New(desc)
+	if err != nil {
+		var de *dsl.Error
+		if !errors.As(err, &de) {
+			de = &dsl.Error{Msg: err.Error()}
+		}
+		return nil, &CompileError{Name: name, Errs: []*dsl.Error{de}}
+	}
 	return &Description{
 		Source:  src,
 		Name:    name,
 		Program: prog,
 		Desc:    desc,
-		Interp:  interp.New(desc),
+		Interp:  in,
 	}, nil
 }
 
@@ -147,7 +161,7 @@ func (d *Description) NewFormatter(delims ...string) *fmtconv.Formatter {
 }
 
 // NewGenerator builds a random-data generator for the description.
-func (d *Description) NewGenerator(seed uint64) *datagen.Generator {
+func (d *Description) NewGenerator(seed uint64) (*datagen.Generator, error) {
 	return datagen.NewGenerator(d.Desc, seed)
 }
 

@@ -9,8 +9,10 @@ import (
 
 	"pads/internal/accum"
 	"pads/internal/datagen"
+	"pads/internal/dsl"
 	"pads/internal/padsrt"
 	"pads/internal/query"
+	"pads/internal/sema"
 	"pads/internal/value"
 )
 
@@ -29,6 +31,34 @@ func TestCompileFile(t *testing.T) {
 	}
 	if _, err := CompileFile(td("no-such-file.pads")); err == nil {
 		t.Error("missing file accepted")
+	}
+}
+
+// TestCompileRejectsUnlowerable gives Compile's lowering step a checked
+// description that cannot be lowered: its regexp literal was dropped from
+// the compiled set after sema. There is no second engine to fall back to,
+// so this is a compile error.
+func TestCompileRejectsUnlowerable(t *testing.T) {
+	const src = "Psource Precord Pstruct r {\n  Pre \"[a-z]+\"; Peor;\n};"
+	prog, errs := dsl.Parse(src)
+	if len(errs) > 0 {
+		t.Fatal(errs[0])
+	}
+	desc, serrs := sema.Check(prog)
+	if len(serrs) > 0 {
+		t.Fatal(serrs[0])
+	}
+	delete(desc.Regexps, "[a-z]+")
+	d, err := newDescription(src, "re.pads", prog, desc)
+	var ce *CompileError
+	if !errors.As(err, &ce) {
+		t.Fatalf("err = %T %v, want *CompileError", err, err)
+	}
+	if d != nil {
+		t.Error("a Description came back with the error")
+	}
+	if got := ce.Error(); !strings.HasPrefix(got, "re.pads:1:17: ") || !strings.Contains(got, "regexp") {
+		t.Errorf("error = %q, want the declaration's position and the regexp", got)
 	}
 }
 
@@ -105,7 +135,10 @@ func TestGenerateGoAndSchema(t *testing.T) {
 	if !strings.Contains(d.Schema(), "xs:schema") {
 		t.Error("schema empty")
 	}
-	g := d.NewGenerator(4)
+	g, err := d.NewGenerator(4)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := g.GenerateType("version_t"); err != nil {
 		t.Error(err)
 	}

@@ -32,7 +32,11 @@ func compileSrc(t *testing.T, src string) *interp.Interp {
 	if len(serrs) > 0 {
 		t.Fatalf("check: %v", serrs[0])
 	}
-	return interp.New(desc)
+	in, err := interp.New(desc)
+	if err != nil {
+		t.Fatalf("lower: %v", err)
+	}
+	return in
 }
 
 func TestRandDeterministic(t *testing.T) {
@@ -204,7 +208,10 @@ Psource Parray rows_t { row_t[]; };
 `
 	in := compileSrc(t, src)
 	for seed := uint64(1); seed <= 25; seed++ {
-		g := NewGenerator(in.Desc, seed)
+		g, err := NewGenerator(in.Desc, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
 		data, err := g.GenerateSource()
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -227,7 +234,10 @@ Precord Pstruct r_t { response_t code; };
 Psource Parray rs_t { r_t[]; };
 `
 	in := compileSrc(t, src)
-	g := NewGenerator(in.Desc, 9)
+	g, err := NewGenerator(in.Desc, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 50; i++ {
 		v, err := g.GenerateType("response_t")
 		if err != nil {
@@ -249,7 +259,10 @@ Precord Pstruct r_t {
 Psource Parray rs_t { r_t[]; };
 `
 	in := compileSrc(t, src)
-	g := NewGenerator(in.Desc, 3)
+	g, err := NewGenerator(in.Desc, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 20; i++ {
 		v, err := g.GenerateType("r_t")
 		if err != nil {

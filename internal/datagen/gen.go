@@ -27,15 +27,20 @@ type Generator struct {
 	ConstraintRetries int
 }
 
-// NewGenerator builds a generator over desc.
-func NewGenerator(desc *sema.Desc, seed uint64) *Generator {
+// NewGenerator builds a generator over desc. It fails when the description
+// cannot be lowered to an interpreter (interp.New).
+func NewGenerator(desc *sema.Desc, seed uint64) (*Generator, error) {
+	in, err := interp.New(desc)
+	if err != nil {
+		return nil, err
+	}
 	return &Generator{
 		Desc:              desc,
 		R:                 NewRand(seed | 1),
-		in:                interp.New(desc),
+		in:                in,
 		MaxArrayLen:       8,
 		ConstraintRetries: 64,
-	}
+	}, nil
 }
 
 // GenerateSource produces one full instance of the description's Psource

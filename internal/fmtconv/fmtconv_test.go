@@ -27,7 +27,11 @@ func compileFile(t *testing.T, name string) *interp.Interp {
 	if len(serrs) > 0 {
 		t.Fatalf("check: %v", serrs[0])
 	}
-	return interp.New(desc)
+	in, err := interp.New(desc)
+	if err != nil {
+		t.Fatalf("lower: %v", err)
+	}
+	return in
 }
 
 // TestFigure8 regenerates the formatted CLF records of Figure 8 from the
@@ -95,7 +99,10 @@ Psource Parray rs_t { r_t[]; };
 	if len(serrs) > 0 {
 		t.Fatal(serrs[0])
 	}
-	in := interp.New(desc)
+	in, err := interp.New(desc)
+	if err != nil {
+		t.Fatal(err)
+	}
 	v, _ := in.ParseSource(padsrt.NewBytesSource([]byte("|5|\n1|2|3\n")))
 	arr := v.(*value.Array)
 	f := New(",")
@@ -118,7 +125,10 @@ Psource Parray rs_t { r_t[]; };
 	if len(serrs) > 0 {
 		t.Fatal(serrs[0])
 	}
-	in := interp.New(desc)
+	in, err := interp.New(desc)
+	if err != nil {
+		t.Fatal(err)
+	}
 	v, _ := in.ParseSource(padsrt.NewBytesSource([]byte("1:2 3:4\n")))
 	rec := v.(*value.Array).Elems[0]
 	// Outer boundary uses the first delimiter, nested pairs the second.

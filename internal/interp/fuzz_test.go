@@ -38,7 +38,10 @@ func FuzzParseCLF(f *testing.F) {
 	if len(serrs) > 0 {
 		f.Fatal(serrs[0])
 	}
-	in := New(desc)
+	in, err := New(desc)
+	if err != nil {
+		f.Fatal(err)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := padsrt.NewBytesSource(data)
@@ -85,7 +88,10 @@ func FuzzParseSirius(f *testing.F) {
 	if len(serrs) > 0 {
 		f.Fatal(serrs[0])
 	}
-	in := New(desc)
+	in, err := New(desc)
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := padsrt.NewBytesSource(data)
 		v, err := in.ParseSource(s)
@@ -140,7 +146,11 @@ func FuzzInterpParse(f *testing.F) {
 			MaxSpecBytes: 1 << 16,
 			MaxSpecDepth: 64,
 		}))
-		v, err := New(desc).ParseSource(s)
+		in, err := New(desc)
+		if err != nil {
+			t.Fatalf("checked description does not lower: %v", err)
+		}
+		v, err := in.ParseSource(s)
 		if err != nil {
 			return // structured failure is fine; panics and hangs are not
 		}

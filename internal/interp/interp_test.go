@@ -23,7 +23,33 @@ func compile(t *testing.T, src string) *Interp {
 	if len(serrs) > 0 {
 		t.Fatalf("check: %v", serrs[0])
 	}
-	return New(desc)
+	in, err := New(desc)
+	if err != nil {
+		t.Fatalf("lower: %v", err)
+	}
+	return in
+}
+
+// TestNewRejectsUnlowerable gives New a checked description that cannot be
+// lowered (its regexp literal was dropped from the compiled set after sema):
+// the VM is the only engine, so New must report the lowering error.
+func TestNewRejectsUnlowerable(t *testing.T) {
+	prog, errs := dsl.Parse(`Psource Precord Pstruct r { Pre "[a-z]+"; Peor; };`)
+	if len(errs) > 0 {
+		t.Fatal(errs[0])
+	}
+	desc, serrs := sema.Check(prog)
+	if len(serrs) > 0 {
+		t.Fatal(serrs[0])
+	}
+	delete(desc.Regexps, "[a-z]+")
+	in, err := New(desc)
+	if err == nil || !strings.Contains(err.Error(), "regexp") {
+		t.Fatalf("New = %v, %v; want a lowering error naming the regexp", in, err)
+	}
+	if in != nil {
+		t.Error("New returned an interpreter with its error")
+	}
 }
 
 func compileFile(t *testing.T, name string) *Interp {
@@ -215,8 +241,10 @@ func TestMaskSkipsWhereCheck(t *testing.T) {
 	mask.SetField("es", esMask)
 
 	s := padsrt.NewBytesSource([]byte(data))
-	d := in.Desc.Source
-	v := in.parseDecl(d, s, mask, nil)
+	v, err := in.ParseType(in.Desc.Source.DeclName(), s, mask, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if v.PD().Nerr != 0 {
 		t.Errorf("with Pwhere masked off, errors = %v", v.PD())
 	}

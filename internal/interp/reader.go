@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"pads/internal/dsl"
-	"pads/internal/expr"
+	"pads/internal/ir"
 	"pads/internal/padsrt"
 	"pads/internal/sema"
 	"pads/internal/value"
@@ -16,11 +16,11 @@ import (
 // most ad hoc sources (both CLF and Sirius fit it). The whole file is never
 // resident.
 type RecordReader struct {
-	in      *Interp
-	s       *padsrt.Source
-	mask    *padsrt.MaskNode
-	recDecl dsl.Decl
-	header  value.Value // parsed header, if the source has one
+	in     *Interp
+	s      *padsrt.Source
+	mask   *padsrt.MaskNode
+	rec    ir.DeclID   // the record type, resolved once
+	header value.Value // parsed header, if the source has one
 
 	// Error-budget state (docs/ROBUSTNESS.md). policy is read-only;
 	// records/errored are this reader's cumulative counts; budgetErr,
@@ -82,15 +82,17 @@ func (in *Interp) NewRecordReader(s *padsrt.Source, mask *padsrt.MaskNode) (*Rec
 	if err != nil {
 		return nil, err
 	}
-	rr := &RecordReader{in: in, s: s, mask: mask}
-	rd, ok := in.Desc.Types[shape.RecordType]
+	rec, ok := in.prog.DeclByName(shape.RecordType)
 	if !ok {
 		return nil, fmt.Errorf("interp: unknown record type %s", shape.RecordType)
 	}
-	rr.recDecl = rd
+	rr := &RecordReader{in: in, s: s, mask: mask, rec: rec}
 	if shape.HeaderType != "" {
-		hd := in.Desc.Types[shape.HeaderType]
-		rr.header = in.parse(hd, s, nil, nil)
+		hdr, ok := in.prog.DeclByName(shape.HeaderType)
+		if !ok {
+			return nil, fmt.Errorf("interp: unknown header type %s", shape.HeaderType)
+		}
+		rr.header = in.execDecl(hdr, s, nil, nil)
 	}
 	return rr, nil
 }
@@ -119,13 +121,13 @@ func (rr *RecordReader) More() bool {
 
 // Read parses the next record.
 func (rr *RecordReader) Read() value.Value {
-	return rr.note(rr.in.parse(rr.recDecl, rr.s, rr.mask, nil))
+	return rr.note(rr.in.execDecl(rr.rec, rr.s, rr.mask, nil))
 }
 
 // ReadWith parses the next record under a specific mask (overriding the
 // reader's default), the per-application knob of section 5.1.2.
 func (rr *RecordReader) ReadWith(mask *padsrt.MaskNode) value.Value {
-	return rr.note(rr.in.parse(rr.recDecl, rr.s, mask, nil))
+	return rr.note(rr.in.execDecl(rr.rec, rr.s, mask, nil))
 }
 
 // note applies the error budget and dead-letter policy to a just-parsed
@@ -162,17 +164,16 @@ func (rr *RecordReader) note(v value.Value) value.Value {
 // parse emits every worker's events into one stream.
 func (rr *RecordReader) Shard(s *padsrt.Source) *RecordReader {
 	// The lowered program is immutable at parse time, so shards share the
-	// parent's instead of re-lowering per chunk (Clone; a NewAST parent's
-	// shards stay on the AST walk).
+	// parent's instead of re-lowering per chunk (Clone).
 	in := rr.in.Clone()
 	in.Stats = s.Stats()
 	in.Prof = s.Prof()
 	in.Tracer = rr.in.Tracer
 	return &RecordReader{
-		in:      in,
-		s:       s,
-		mask:    rr.mask,
-		recDecl: rr.recDecl,
+		in:   in,
+		s:    s,
+		mask: rr.mask,
+		rec:  rr.rec,
 	}
 }
 
@@ -186,7 +187,7 @@ func (rr *RecordReader) Err() error {
 }
 
 // RecordTypeName names the per-record type.
-func (rr *RecordReader) RecordTypeName() string { return rr.recDecl.DeclName() }
+func (rr *RecordReader) RecordTypeName() string { return rr.in.prog.Decls[rr.rec].Name }
 
 // AssembleSource rebuilds the Psource value from a sequentially-parsed
 // header (nil when the source has no header) and the record values, in
@@ -251,5 +252,3 @@ func (in *Interp) assembleRecords(d *dsl.ArrayDecl, recs []value.Value) value.Va
 	}
 	return arr
 }
-
-var _ = expr.V{} // keep the import set stable while the package grows

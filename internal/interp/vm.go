@@ -10,35 +10,31 @@ import (
 	"pads/internal/value"
 )
 
-// The bytecode VM executes the flat IR program lowered from the checked
-// description (internal/ir) instead of re-walking the AST per record: base
-// reads dispatch on precompiled ReadOps, literals come from the matcher
-// pool, enum members are pre-sorted longest-first, and speculative union
-// branches are pre-screened through table-driven first-byte classes. Every
-// contract of the reference walk is preserved bit-for-bit: parse
-// descriptors, error codes, record resynchronization, telemetry counters,
-// trace events, and profiler node attribution. The reference AST walk stays
-// available via NewAST and is differentially tested against the VM (the
-// three-way conformance suite in vm_test.go and FuzzVMAgainstInterp).
+// The bytecode VM is the interpreter's one parse engine. It executes the
+// flat IR program (internal/ir) that New lowers once from the checked
+// description: base reads dispatch on precompiled ReadOps, literals come
+// from the matcher pool, enum members are pre-sorted longest-first, and
+// speculative union branches are pre-screened through table-driven
+// first-byte classes.
+//
+// Its semantics are pinned against the reference AST walk, a test-only
+// oracle (astwalk_test.go) that interprets the checked AST directly with
+// none of these fast paths. The conformance tests (vm_conform_test.go:
+// the datagen and sample corpora, the generated-code corpora, and
+// FuzzVMAgainstInterp over random description/input pairs) demand identical
+// values, bit-identical parse descriptors, and identical accumulator output.
+// The oracle has no observers; the VM's are pinned on their own:
+// TestTraceGolden and TestTraceStats (trace events, field-error and union
+// branch counters) and TestProfilerInterpAttribution (profiler node
+// attribution).
 
-// Program returns the lowered IR program the interpreter executes, or nil
-// when it runs the reference AST walk.
-func (in *Interp) Program() *ir.Program { return in.prog }
-
-// parse routes one declaration parse through the VM when a lowered program
-// is attached, falling back to the reference AST walk.
-func (in *Interp) parse(d dsl.Decl, s *padsrt.Source, mask *padsrt.MaskNode, args []expr.V) value.Value {
-	if p := in.prog; p != nil {
-		if id, ok := p.DeclByName(d.DeclName()); ok {
-			return in.execDecl(id, s, mask, args)
-		}
-	}
-	return in.parseDecl(d, s, mask, args)
-}
+// noBranch is the histogram key recorded when no union branch (or switch
+// case) matched.
+const noBranch = "<none>"
 
 // execDecl parses one value of a lowered declaration, opening and closing a
-// record window for Precord types with the same panic-mode recovery as the
-// reference walk.
+// record window for Precord types and resynchronizing a damaged record at
+// its boundary (panic mode).
 func (in *Interp) execDecl(decl ir.DeclID, s *padsrt.Source, mask *padsrt.MaskNode, args []expr.V) value.Value {
 	p := in.prog
 	di := &p.Decls[decl]
@@ -92,7 +88,7 @@ func (in *Interp) execBody(id ir.NodeID, s *padsrt.Source, mask *padsrt.MaskNode
 	n := &p.Nodes[id]
 	var env *expr.Env
 	if n.Flags&ir.FNeedEnv != 0 {
-		env = in.bindParams(di.Params, args)
+		env = bindParams(di.Params, args)
 	}
 	switch n.Op {
 	case ir.OpStruct:

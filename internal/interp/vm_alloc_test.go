@@ -29,9 +29,9 @@ func TestVMAllocsPerRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
-	vm := interp.New(desc)
-	if vm.Program() == nil {
-		t.Fatal("description did not lower to IR")
+	vm, err := interp.New(desc)
+	if err != nil {
+		t.Fatalf("description did not lower to IR: %v", err)
 	}
 
 	parsed := 0

@@ -1,15 +1,17 @@
 package interp_test
 
 // Three-way IR conformance: the bytecode VM (interp.New) is compared
-// against the reference AST walk (interp.NewAST) over the datagen corpora,
-// demanding indistinguishable results — value.EqualFull requires identical
-// values, type names, and bit-identical parse descriptors at every node,
-// and the accumulator reports built from both streams must render the same
-// bytes. The generated-code leg of the three-way runs in the gen packages
-// (internal/gen/{clf,sirius,kitchen}), which diff against interp.New — the
-// VM — so the chain AST walk == VM == generated code closes over every
-// corpus. FuzzVMAgainstInterp extends the same contract to random
-// description/input pairs.
+// against the reference AST walk (NewAST, the test-only oracle of
+// astwalk_test.go) over the datagen corpora, demanding indistinguishable
+// results — value.EqualFull requires identical values, type names, and
+// bit-identical parse descriptors at every node, and the accumulator reports
+// built from both streams must render the same bytes. The generated-code leg
+// of the three-way runs in the gen packages (internal/gen/{clf,sirius,
+// kitchen}), which diff against interp.New — the VM — and
+// TestVMConformGenCorpora checks the VM against the walk on their corpora,
+// so the chain AST walk == VM == generated code closes over every corpus.
+// FuzzVMAgainstInterp extends the same contract to random description/input
+// pairs.
 
 import (
 	"bytes"
@@ -44,15 +46,24 @@ func checkFile(t *testing.T, name string) *sema.Desc {
 	return desc
 }
 
+// newVM builds the VM for a checked description, failing the test when the
+// description does not lower: New has no fallback, so a lowering failure on
+// a description sema accepts is a bug in the lowering.
+func newVM(tb testing.TB, desc *sema.Desc) *interp.Interp {
+	tb.Helper()
+	in, err := interp.New(desc)
+	if err != nil {
+		tb.Fatalf("checked description does not lower: %v", err)
+	}
+	return in
+}
+
 // conformRecords parses data record-by-record through the AST walk and the
 // VM, requiring indistinguishable headers, records, and accumulator output.
 func conformRecords(t *testing.T, desc *sema.Desc, data []byte) int {
 	t.Helper()
 	ast := interp.NewAST(desc)
-	vm := interp.New(desc)
-	if vm.Program() == nil {
-		t.Fatal("description did not lower to IR")
-	}
+	vm := newVM(t, desc)
 
 	ra, err := ast.NewRecordReader(padsrt.NewBytesSource(data), nil)
 	if err != nil {
@@ -125,7 +136,10 @@ func TestVMConformCLFCorpus(t *testing.T) {
 func TestVMConformKitchen(t *testing.T) {
 	desc := checkFile(t, "kitchen.pads")
 	for seed := uint64(1); seed <= 25; seed++ {
-		g := datagen.NewGenerator(desc, seed)
+		g, err := datagen.NewGenerator(desc, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
 		data, err := g.GenerateSource()
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -134,12 +148,62 @@ func TestVMConformKitchen(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: AST: %v", seed, err)
 		}
-		vv, err := interp.New(desc).ParseSource(padsrt.NewBytesSource(data))
+		vv, err := newVM(t, desc).ParseSource(padsrt.NewBytesSource(data))
 		if err != nil {
 			t.Fatalf("seed %d: VM: %v", seed, err)
 		}
 		if d := value.DiffFull(av, vv); d != "" {
 			t.Fatalf("seed %d: %s\ninput: %q", seed, d, data)
+		}
+	}
+}
+
+// TestVMConformGenCorpora checks the VM against the reference AST walk on
+// the corpora the generated-code tests (internal/gen/{clf,sirius,kitchen})
+// diff the VM against, which cannot reach the test-only walk themselves.
+// Together they close the chain AST walk == VM == generated code on each
+// corpus.
+func TestVMConformGenCorpora(t *testing.T) {
+	var clf bytes.Buffer
+	if _, err := datagen.CLF(&clf, datagen.DefaultCLF(500)); err != nil {
+		t.Fatal(err)
+	}
+	if n := conformRecords(t, checkFile(t, "clf.pads"), clf.Bytes()); n != 500 {
+		t.Fatalf("clf records = %d", n)
+	}
+
+	var sirius bytes.Buffer
+	cfg := datagen.DefaultSirius(500)
+	cfg.SortViolations = 3
+	cfg.SyntaxErrors = 7
+	if _, err := datagen.Sirius(&sirius, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if n := conformRecords(t, checkFile(t, "sirius.pads"), sirius.Bytes()); n != 500 {
+		t.Fatalf("sirius records = %d", n)
+	}
+
+	desc := checkFile(t, "kitchen.pads")
+	vm := newVM(t, desc)
+	for seed := uint64(1); seed <= 40; seed++ {
+		g, err := datagen.NewGenerator(desc, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := g.GenerateSource()
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		av, err := interp.NewAST(desc).ParseSource(padsrt.NewBytesSource(data))
+		if err != nil {
+			t.Fatalf("seed %d: AST: %v", seed, err)
+		}
+		vv, err := vm.ParseSource(padsrt.NewBytesSource(data))
+		if err != nil {
+			t.Fatalf("seed %d: VM: %v", seed, err)
+		}
+		if d := value.DiffFull(av, vv); d != "" {
+			t.Fatalf("seed %d: kitchen AST walk and VM differ: %s", seed, d)
 		}
 	}
 }
@@ -164,7 +228,7 @@ func TestVMConformRangeOverflowUnion(t *testing.T) {
 	if err != nil {
 		t.Fatalf("AST: %v", err)
 	}
-	vv, err := interp.New(desc).ParseSource(padsrt.NewBytesSource(data))
+	vv, err := newVM(t, desc).ParseSource(padsrt.NewBytesSource(data))
 	if err != nil {
 		t.Fatalf("VM: %v", err)
 	}
@@ -224,6 +288,21 @@ func FuzzVMAgainstInterp(f *testing.F) {
 	// checkpointed (the FAtomic soundness repro, caught deterministically).
 	f.Add(`Punion u { Puint8 a; Pstring(:' ':) s; }; Precord Pstruct r { u v; ' '; Peor; }; Psource Parray rs { r[]; };`,
 		[]byte("300 \n7 \n99999999999999999999 \n"))
+	// Expression-heavy seeds: a struct Pwhere, a switched union, a
+	// predicate function as a field constraint, and a Pforall sort check
+	// shaped like Sirius's eventSeq.
+	f.Add(`Precord Pstruct r { Puint8 a; ','; Puint8 b; Peor; } Pwhere { a < b }; Psource Parray rs { r[]; };`,
+		[]byte("1,2\n3,1\n7,\n"))
+	f.Add(`Punion t (:Puint8 k:) Pswitch (k) { Pcase 1: Puint16 small; Pcase 2, 3: Pstring(:';':) s; Pdefault: Pchar other; }; Precord Pstruct r { Puint8 k; ':'; t(:k:) v; Peor; }; Psource Parray rs { r[]; };`,
+		[]byte("1:300\n2:ab\n9:z\n1:x\n"))
+	f.Add(`bool ordered(Puint8 a, Puint8 b) { if (a == 0) return false; return a <= b; }; Precord Pstruct r { Puint8 a; ','; Puint8 b : ordered(a, b); Peor; }; Psource Parray rs { r[]; };`,
+		[]byte("1,2\n0,5\n4,3\n"))
+	f.Add(`Pstruct ev { Pstring(:'|':) st; '|'; Puint32 ts; }; Parray seq { ev[] : Psep('|') && Pterm(Peor); } Pwhere { Pforall (i Pin [0..length-2] : (elts[i].ts <= elts[i+1].ts)); }; Precord Pstruct r { seq events; }; Psource Parray rs { r[]; };`,
+		[]byte("A|1|B|2\nA|5|B|3\nA|x\n"))
+	// A failed literal as a nested struct's only error: the struct's own
+	// descriptor, not a child's, must turn Partial.
+	f.Add(`Pstruct kv { Puint8 k; '='; }; Precord Pstruct r { kv a; Puint8 v; Peor; }; Psource Parray rs { r[]; };`,
+		[]byte("1=2\n1:2\n"))
 
 	f.Fuzz(func(t *testing.T, descSrc string, data []byte) {
 		if len(descSrc) > 4096 || len(data) > 4096 {
@@ -245,10 +324,11 @@ func FuzzVMAgainstInterp(f *testing.F) {
 		// (atomic trials are checkpoint-free), so a spec limit can trip in
 		// one engine and not the other by design.
 		limits := padsrt.WithLimits(padsrt.Limits{MaxRecordLen: 1 << 16, MaxBacktracks: 10_000})
+		vm := newVM(t, desc) // a checked description that does not lower fails the run
 		sa := padsrt.NewBytesSource(data, limits)
 		sv := padsrt.NewBytesSource(data, limits)
 		av, aerr := interp.NewAST(desc).ParseSource(sa)
-		vv, verr := interp.New(desc).ParseSource(sv)
+		vv, verr := vm.ParseSource(sv)
 		var le *padsrt.LimitError
 		if errors.As(sa.Err(), &le) || errors.As(sv.Err(), &le) {
 			// A budget tripped. The engines spend rollbacks at different

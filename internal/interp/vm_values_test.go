@@ -46,7 +46,7 @@ func readStrings(in *interp.Interp, data []byte) ([]string, error) {
 // an earlier record's nodes, whichever chunk they came from.
 func TestVMRetainedValuesUnchanged(t *testing.T) {
 	desc := checkFile(t, "sirius.pads")
-	rr, err := interp.New(desc).NewRecordReader(padsrt.NewBorrowedSource(siriusData(t, 2000)), nil)
+	rr, err := newVM(t, desc).NewRecordReader(padsrt.NewBorrowedSource(siriusData(t, 2000)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestVMLiveHeapFlat(t *testing.T) {
 
 	desc := checkFile(t, "sirius.pads")
 	data := siriusData(t, late)
-	rr, err := interp.New(desc).NewRecordReader(padsrt.NewBorrowedSource(data), nil)
+	rr, err := newVM(t, desc).NewRecordReader(padsrt.NewBorrowedSource(data), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestVMClonesParseConcurrently(t *testing.T) {
 	const workers = 4
 	desc := checkFile(t, "sirius.pads")
 	data := siriusData(t, 1000)
-	in := interp.New(desc)
+	in := newVM(t, desc)
 	want, err := readStrings(in, data)
 	if err != nil {
 		t.Fatal(err)

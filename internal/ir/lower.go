@@ -30,7 +30,7 @@ func Lower(desc *sema.Desc) (*Program, error) {
 		id := p.byName[d.DeclName()]
 		root, err := l.lowerDecl(d)
 		if err != nil {
-			return nil, err
+			return nil, dsl.Errorf(d.DeclPos(), "%v", err)
 		}
 		p.Decls[id].Root = root
 	}

@@ -429,9 +429,30 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", contentTypes[j.req.Mode])
 	w.Header().Set("X-Pads-Records", strconv.Itoa(rep.Records))
 	w.Header().Set("X-Pads-Errored", strconv.Itoa(rep.Errored))
-	if err := j.out.Result(w, rep, outSibling(j.manifest)); err != nil {
-		http.Error(w, fmt.Sprintf("job output: %v", err), http.StatusInternalServerError)
+	sent := &sentCounter{w: w}
+	if err := j.out.Result(sent, rep, outSibling(j.manifest)); err != nil {
+		msg := fmt.Sprintf("job output: %v", err)
+		if sent.n == 0 {
+			http.Error(w, msg, http.StatusInternalServerError)
+			return
+		}
+		// The status line and part of the body are already out: report the
+		// failure in a trailer, as the stream endpoints do, and leave the
+		// truncated body as it is.
+		w.Header().Set(http.TrailerPrefix+"X-Pads-Error", msg)
 	}
+}
+
+// sentCounter counts the bytes handed to a response body. Once any byte
+// has been handed over, the status line is committed.
+type sentCounter struct {
+	w io.Writer
+	n int64
+}
+
+func (c *sentCounter) Write(p []byte) (int, error) {
+	c.n += int64(len(p))
+	return c.w.Write(p)
 }
 
 func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -252,6 +253,61 @@ func TestJobResultHeaders(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusInternalServerError {
 			t.Errorf("xml result without its output file: status %d, want 500", resp.StatusCode)
+		}
+	}
+}
+
+// brokenWriter is a ResponseWriter whose connection fails once limit body
+// bytes have gone out. It records every status the handler sends.
+type brokenWriter struct {
+	h     http.Header
+	codes []int
+	body  bytes.Buffer
+	limit int
+}
+
+func (b *brokenWriter) Header() http.Header  { return b.h }
+func (b *brokenWriter) WriteHeader(code int) { b.codes = append(b.codes, code) }
+
+func (b *brokenWriter) Write(p []byte) (int, error) {
+	if len(b.codes) == 0 {
+		b.WriteHeader(http.StatusOK)
+	}
+	room := max(b.limit-b.body.Len(), 0)
+	if len(p) <= room {
+		return b.body.Write(p)
+	}
+	b.body.Write(p[:room])
+	return room, errors.New("connection reset by peer")
+}
+
+// TestJobResultWriteFailure: a result whose body fails part way keeps its
+// 200 (a second status would be superfluous), leaves the body truncated
+// without error text in it, and reports the failure in the X-Pads-Error
+// trailer — also when the very first write fails, since that write already
+// committed the status.
+func TestJobResultWriteFailure(t *testing.T) {
+	dir := t.TempDir()
+	s, ts := newTestServer(t, Config{JobDir: dir})
+	id := upload(t, ts, clfSource(t))
+	jobCorpus(t, dir, "data.log", 300)
+	_, info := submitJob(t, ts, fmt.Sprintf(`{"desc":%q,"file":"data.log","mode":"csv"}`, id))
+	if done := waitJob(t, ts, info.ID); done.State != "done" {
+		t.Fatalf("job finished %q (%s), want done", done.State, done.Error)
+	}
+	for _, limit := range []int{0, 100} {
+		bw := &brokenWriter{h: http.Header{}, limit: limit}
+		req := httptest.NewRequest("GET", "/v1/jobs/"+info.ID+"/result", nil)
+		req.SetPathValue("id", info.ID)
+		s.handleJobResult(bw, req)
+		if len(bw.codes) != 1 || bw.codes[0] != http.StatusOK {
+			t.Errorf("limit %d: statuses %v, want one 200", limit, bw.codes)
+		}
+		if bw.body.Len() != limit || strings.Contains(bw.body.String(), "job output") {
+			t.Errorf("limit %d: body %q, want the first %d result bytes and nothing else", limit, bw.body.String(), limit)
+		}
+		if got := bw.h.Get(http.TrailerPrefix + "X-Pads-Error"); !strings.Contains(got, "connection reset") {
+			t.Errorf("limit %d: X-Pads-Error trailer %q, want the write error", limit, got)
 		}
 	}
 }

@@ -28,7 +28,10 @@ func siriusRoot(t *testing.T, data []byte) *Node {
 	if len(serrs) > 0 {
 		t.Fatalf("check: %v", serrs[0])
 	}
-	in := interp.New(desc)
+	in, err := interp.New(desc)
+	if err != nil {
+		t.Fatalf("lower: %v", err)
+	}
 	v, err := in.ParseSource(padsrt.NewBytesSource(data))
 	if err != nil {
 		t.Fatal(err)

@@ -607,7 +607,9 @@ func (j *job) replay(acc *accum.Accum, from int) error {
 // segments into a private buffer of its own. failed decides what a
 // segment that panicked twice means (nil: the job fails).
 func (j *job) exec(segs []Seg, st *telemetry.Stats, failed func(Seg, error) (segResult, error), commit func([]segResult) error) error {
-	bufs := make([][]byte, j.cfg.Workers)
+	// Exec runs at most one worker per segment, so a worker count beyond
+	// that (a client's "workers" is unbounded) sizes nothing.
+	bufs := make([][]byte, min(j.cfg.Workers, len(segs)))
 	return Exec(segs, j.cfg.Workers, st, nil, func(t *Task) (segResult, error) {
 		return j.parseSeg(t, &bufs[t.Worker])
 	}, failed, commit)

@@ -155,6 +155,24 @@ func TestOutOfCoreMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestWorkerCountBeyondSegments: a job asked for more workers than it has
+// segments (padsd passes a client's "workers" through) runs one worker per
+// segment and sizes nothing by the requested count. 1<<62 per-worker
+// buffers would not even fit the address space.
+func TestWorkerCountBeyondSegments(t *testing.T) {
+	desc := compileCLF(t)
+	data := clfCorpus(300)
+	want, _, _ := runSequential(t, desc, data)
+	cfg := oocConfig(t, desc, t.TempDir(), "huge", data, 1<<62)
+	rep, err := segment.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := reportString(t, rep); got != want {
+		t.Error("accumulator report differs from the sequential run")
+	}
+}
+
 // interruptAfterCommits wires a Cancel hook that trips once the job has
 // committed at least n segments — a deterministic stand-in for SIGKILL that
 // stops the run with a durable, partial manifest.

@@ -2,9 +2,12 @@ package xmlgen
 
 import (
 	"bytes"
+	"encoding/xml"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"pads/internal/datagen"
@@ -85,5 +88,42 @@ func TestWriteXMLGolden(t *testing.T) {
 					path, i, len(got), len(want), got[lo:min(len(got), i+80)], want[lo:min(len(want), i+80)])
 			}
 		})
+	}
+}
+
+// TestGoldenXMLWellFormed parses every golden with encoding/xml, wrapped in
+// one root element as padsxml wraps its records: the corrupted corpora's
+// control bytes and broken UTF-8 must still give well-formed XML.
+func TestGoldenXMLWellFormed(t *testing.T) {
+	for _, name := range []string{"clf.xml", "clf-corrupt.xml", "sirius.xml", "sirius-corrupt.xml"} {
+		data, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := xml.NewDecoder(io.MultiReader(strings.NewReader("<records>"), bytes.NewReader(data), strings.NewReader("</records>")))
+		for {
+			_, err := d.Token()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Errorf("%s: %v", name, err)
+				break
+			}
+		}
+	}
+}
+
+func TestEscapeRepairsText(t *testing.T) {
+	for in, want := range map[string]string{
+		"a<b & \"c\">":      "a&lt;b &amp; &quot;c&quot;&gt;",
+		"tab\tnl\ncr\r":     "tab\tnl\ncr\r",
+		"st\x10ff\x00":      "st\uFFFDff\uFFFD",
+		"\xb74 caf\u00e9":   "\uFFFD4 caf\u00e9",
+		"\xef\xbf\xbe<\x7f": "\uFFFD&lt;\x7f",
+	} {
+		if got := escape(in); got != want {
+			t.Errorf("escape(%q) = %q, want %q", in, got, want)
+		}
 	}
 }

@@ -50,7 +50,28 @@ func (p *printer) ind(n int) string { return strings.Repeat("  ", n) }
 // and is safe for concurrent use.
 var escaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
 
-func escape(s string) string { return escaper.Replace(s) }
+// escape makes s XML 1.0 character data. Markup characters become entity
+// references; every byte XML 1.0 forbids (control bytes other than tab,
+// newline and carriage return) and every invalid UTF-8 sequence becomes
+// U+FFFD, so damaged input still yields well-formed XML. Clean ASCII, the
+// common case, skips the repair pass.
+func escape(s string) string {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c >= utf8.RuneSelf || c < 0x20 && c != '\t' && c != '\n' && c != '\r' {
+			return escaper.Replace(strings.Map(xmlChar, s))
+		}
+	}
+	return escaper.Replace(s)
+}
+
+// xmlChar maps a rune XML 1.0 forbids to U+FFFD. strings.Map hands it
+// U+FFFD for each invalid UTF-8 byte, which it keeps.
+func xmlChar(r rune) rune {
+	if r < 0x20 && r != '\t' && r != '\n' && r != '\r' || r == 0xFFFE || r == 0xFFFF {
+		return utf8.RuneError
+	}
+	return r
+}
 
 func (p *printer) value(v value.Value, tag string, indent int) {
 	if v == nil {

@@ -27,7 +27,11 @@ func load(t *testing.T, name string) (*sema.Desc, *interp.Interp) {
 	if len(serrs) > 0 {
 		t.Fatalf("check: %v", serrs[0])
 	}
-	return desc, interp.New(desc)
+	in, err := interp.New(desc)
+	if err != nil {
+		t.Fatalf("lower: %v", err)
+	}
+	return desc, in
 }
 
 // TestEventSeqSchema reproduces the section 5.3.2 XML Schema excerpt for

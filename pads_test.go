@@ -161,7 +161,10 @@ func TestPublicGenerators(t *testing.T) {
 	}
 	// Description-driven generation.
 	desc := compileTestdata(t, "sirius.pads")
-	g := desc.NewGenerator(1)
+	g, err := desc.NewGenerator(1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := g.GenerateType("event_t"); err != nil {
 		t.Fatal(err)
 	}

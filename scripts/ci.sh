@@ -85,6 +85,13 @@ go test -run 'TestAddAllocs|TestAppendAllocs' -count=1 ./internal/accum ./intern
 # with a known error population.
 go test -fuzz=FuzzParseDescription -fuzztime=5s -run='^$' ./internal/sema >/dev/null
 go test -fuzz=FuzzInterpParse -fuzztime=5s -run='^$' ./internal/interp >/dev/null
+go test -fuzz=FuzzVMAgainstInterp -fuzztime=5s -run='^$' ./internal/interp >/dev/null
+# The untrusted inputs of out-of-core jobs and the daemon: manifests read
+# back after a crash or named by -resume, job-request bodies, and the
+# X-Pads-Fault header.
+go test -fuzz=FuzzManifestPeek -fuzztime=5s -run='^$' ./internal/segment >/dev/null
+go test -fuzz=FuzzJobRequest -fuzztime=5s -run='^$' ./internal/padsd >/dev/null
+go test -fuzz=FuzzFaultHeader -fuzztime=5s -run='^$' ./internal/padsd >/dev/null
 
 "$tmp/padsgen" -corpus clf -n 500 -seed 3 >"$tmp/clf.data"
 printf '!! not a log line !!\n' >>"$tmp/clf.data"
