@@ -537,3 +537,39 @@ func TestLongRecordStringScan(t *testing.T) {
 		t.Fatalf("len = %d code = %v", len(v), code)
 	}
 }
+
+// TestMaskLookupAllocs pins the mask lookups a parse under a uniform mask
+// makes per field and element: a node with no per-field or element entries
+// is its own inherited subtree, so the lookups allocate nothing.
+func TestMaskLookupAllocs(t *testing.T) {
+	for _, m := range []Mask{Set, Check, Ignore} {
+		root := NewMaskNode(m)
+		allocs := testing.AllocsPerRun(100, func() {
+			rec := root.Field("header").Field("order_num")
+			ev := root.Field("events").ElemMask().Field("tstamp")
+			if rec.BaseMask() != m || ev.BaseMask() != m || root.ElemMask().CompoundMask() != m {
+				t.Fatalf("%v: inherited masks changed", m)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%v mask lookups allocate %.1f times, want 0", m, allocs)
+		}
+	}
+	// A node with entries still hands a missing field a fresh node with its
+	// own masks, never itself: the caller's entries do not leak into the
+	// subtree.
+	m := &MaskNode{Base: Set, Compound: Check}
+	m.SetField("events", NewMaskNode(Ignore))
+	sub := m.Field("other")
+	if sub == m || sub.BaseMask() != Set || sub.CompoundMask() != Check || sub.Fields != nil {
+		t.Fatalf("missing entry = %+v, want a fresh {Set, Check} node", sub)
+	}
+	m.Elem = NewMaskNode(Ignore)
+	if got := m.Field("other"); got == m || got.Elem != nil || got.BaseMask() != Set {
+		t.Fatalf("missing entry beside an Elem mask = %+v", got)
+	}
+	plain := &MaskNode{Base: Set, Compound: Check}
+	if plain.Field("x") != plain || plain.ElemMask() != plain {
+		t.Fatal("a node with no entries must be its own inherited subtree")
+	}
+}

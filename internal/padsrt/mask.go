@@ -80,7 +80,9 @@ func (n *MaskNode) CompoundMask() Mask {
 }
 
 // Field returns the mask subtree for the named field. A missing entry in a
-// non-nil node inherits the node's base mask for the whole subtree.
+// non-nil node inherits the node's base mask for the whole subtree. The
+// returned node may be shared (with the receiver or other lookups) and
+// must not be modified.
 func (n *MaskNode) Field(name string) *MaskNode {
 	if n == nil {
 		return nil
@@ -88,13 +90,11 @@ func (n *MaskNode) Field(name string) *MaskNode {
 	if sub, ok := n.Fields[name]; ok {
 		return sub
 	}
-	if n.Base == CheckAndSet {
-		return nil // nil means full checking; avoids allocation
-	}
-	return &MaskNode{Base: n.Base, Compound: n.Compound}
+	return n.inherited()
 }
 
-// ElemMask returns the mask subtree for array elements.
+// ElemMask returns the mask subtree for array elements. Like Field, the
+// returned node may be shared and must not be modified.
 func (n *MaskNode) ElemMask() *MaskNode {
 	if n == nil {
 		return nil
@@ -102,8 +102,19 @@ func (n *MaskNode) ElemMask() *MaskNode {
 	if n.Elem != nil {
 		return n.Elem
 	}
-	if n.Base == CheckAndSet {
+	return n.inherited()
+}
+
+// inherited is the subtree a missing field or element entry inherits: the
+// node's masks with no per-field or element entries. nil means full
+// checking; a node with no entries already is that subtree, so parsing
+// under a uniform mask allocates nothing per field.
+func (n *MaskNode) inherited() *MaskNode {
+	switch {
+	case n.Base == CheckAndSet:
 		return nil
+	case n.Fields == nil && n.Elem == nil:
+		return n
 	}
 	return &MaskNode{Base: n.Base, Compound: n.Compound}
 }
