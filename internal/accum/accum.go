@@ -358,10 +358,28 @@ func (a *Accum) kindLabel() string {
 	}
 }
 
-// Report writes the full nested profile. prefix names the root component;
-// the paper uses "<top>".
-func (a *Accum) Report(w io.Writer, prefix string) {
-	a.report(w, prefix)
+// Report writes the full nested profile and returns the first write error.
+// prefix names the root component; the paper uses "<top>".
+func (a *Accum) Report(w io.Writer, prefix string) error {
+	ew := &errWriter{w: w}
+	a.report(ew, prefix)
+	return ew.err
+}
+
+// errWriter keeps the first write error and drops every write after it, so
+// a report's many lines need one check at the end.
+type errWriter struct {
+	w   io.Writer
+	err error
+}
+
+func (e *errWriter) Write(p []byte) (int, error) {
+	if e.err != nil {
+		return 0, e.err
+	}
+	n, err := e.w.Write(p)
+	e.err = err
+	return n, err
 }
 
 func (a *Accum) report(w io.Writer, path string) {
@@ -435,7 +453,8 @@ func (a *Accum) report(w io.Writer, path string) {
 }
 
 // ReportField writes the profile of one dotted path (e.g. "length" under a
-// record accumulator), matching the single-field excerpt in section 5.2.
+// record accumulator), matching the single-field excerpt in section 5.2. It
+// returns an unknown path's error or the first write error.
 func (a *Accum) ReportField(w io.Writer, prefix, path string) error {
 	cur := a
 	for _, part := range strings.Split(path, ".") {
@@ -451,8 +470,9 @@ func (a *Accum) ReportField(w io.Writer, prefix, path string) error {
 		}
 		cur = next
 	}
-	cur.report(w, prefix+"."+path)
-	return nil
+	ew := &errWriter{w: w}
+	cur.report(ew, prefix+"."+path)
+	return ew.err
 }
 
 func trimFloat(f float64) string {

@@ -125,8 +125,7 @@ func (p *Profile) Report(w io.Writer, acc *accum.Accum, records int) error {
 	if p.Field != "" {
 		return acc.ReportField(w, "<top>", p.Field)
 	}
-	acc.Report(w, "<top>")
-	return nil
+	return acc.Report(w, "<top>")
 }
 
 // Stream is an output written record by record into the caller's writer:

@@ -285,29 +285,33 @@ func (b *brokenWriter) Write(p []byte) (int, error) {
 // 200 (a second status would be superfluous), leaves the body truncated
 // without error text in it, and reports the failure in the X-Pads-Error
 // trailer — also when the very first write fails, since that write already
-// committed the status.
+// committed the status. The accumulator job's report is written line by
+// line straight into the response, so its limit of 100 bytes fails after
+// the first line.
 func TestJobResultWriteFailure(t *testing.T) {
 	dir := t.TempDir()
 	s, ts := newTestServer(t, Config{JobDir: dir})
 	id := upload(t, ts, clfSource(t))
 	jobCorpus(t, dir, "data.log", 300)
-	_, info := submitJob(t, ts, fmt.Sprintf(`{"desc":%q,"file":"data.log","mode":"csv"}`, id))
-	if done := waitJob(t, ts, info.ID); done.State != "done" {
-		t.Fatalf("job finished %q (%s), want done", done.State, done.Error)
-	}
-	for _, limit := range []int{0, 100} {
-		bw := &brokenWriter{h: http.Header{}, limit: limit}
-		req := httptest.NewRequest("GET", "/v1/jobs/"+info.ID+"/result", nil)
-		req.SetPathValue("id", info.ID)
-		s.handleJobResult(bw, req)
-		if len(bw.codes) != 1 || bw.codes[0] != http.StatusOK {
-			t.Errorf("limit %d: statuses %v, want one 200", limit, bw.codes)
+	for _, mode := range []string{"csv", "accum"} {
+		_, info := submitJob(t, ts, fmt.Sprintf(`{"desc":%q,"file":"data.log","mode":%q}`, id, mode))
+		if done := waitJob(t, ts, info.ID); done.State != "done" {
+			t.Fatalf("%s job finished %q (%s), want done", mode, done.State, done.Error)
 		}
-		if bw.body.Len() != limit || strings.Contains(bw.body.String(), "job output") {
-			t.Errorf("limit %d: body %q, want the first %d result bytes and nothing else", limit, bw.body.String(), limit)
-		}
-		if got := bw.h.Get(http.TrailerPrefix + "X-Pads-Error"); !strings.Contains(got, "connection reset") {
-			t.Errorf("limit %d: X-Pads-Error trailer %q, want the write error", limit, got)
+		for _, limit := range []int{0, 100} {
+			bw := &brokenWriter{h: http.Header{}, limit: limit}
+			req := httptest.NewRequest("GET", "/v1/jobs/"+info.ID+"/result", nil)
+			req.SetPathValue("id", info.ID)
+			s.handleJobResult(bw, req)
+			if len(bw.codes) != 1 || bw.codes[0] != http.StatusOK {
+				t.Errorf("%s limit %d: statuses %v, want one 200", mode, limit, bw.codes)
+			}
+			if bw.body.Len() != limit || strings.Contains(bw.body.String(), "job output") {
+				t.Errorf("%s limit %d: body %q, want the first %d result bytes and nothing else", mode, limit, bw.body.String(), limit)
+			}
+			if got := bw.h.Get(http.TrailerPrefix + "X-Pads-Error"); !strings.Contains(got, "connection reset") {
+				t.Errorf("%s limit %d: X-Pads-Error trailer %q, want the write error", mode, limit, got)
+			}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package segment_test
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -13,10 +14,11 @@ import (
 // FuzzManifestPeek feeds arbitrary bytes to Peek as a manifest file. A
 // manifest is read back after crashes, and from whatever file a -resume flag
 // or a padsd resume request names, so every input must come back as an Info
-// or an error, never a panic. The seeds are a real job's manifest and torn
-// prefixes of it; before fuzzing, every prefix of that manifest is checked
-// to read as an error or as a job with no more commits than the whole file,
-// complete only when nothing was torn off.
+// or an error, never a panic, and Peek must leave the file as it found it.
+// The seeds are a real job's manifest and torn prefixes of it; before
+// fuzzing, every prefix of that manifest is checked to read as an error or
+// as a job with no more commits than the whole file, complete only when
+// nothing was torn off.
 func FuzzManifestPeek(f *testing.F) {
 	desc, err := core.CompileFile("../../testdata/clf.pads")
 	if err != nil {
@@ -63,7 +65,11 @@ func FuzzManifestPeek(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			tb.Fatal(err)
 		}
-		return segment.Peek(path)
+		info, err := segment.Peek(path)
+		if after, rerr := os.ReadFile(path); rerr != nil || !bytes.Equal(after, data) {
+			tb.Fatalf("Peek changed the file: %d bytes written, %d read back (%v)", len(data), len(after), rerr)
+		}
+		return info, err
 	}
 	for cut := 0; cut <= len(real); cut++ {
 		info, err := peek(f, real[:cut])

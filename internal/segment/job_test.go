@@ -271,6 +271,49 @@ func TestResumeAfterInterrupt(t *testing.T) {
 	}
 }
 
+// TestPeekLeavesTornManifest: Peek reads a journal whose last line was cut
+// without writing to it. The torn line is ignored, the file keeps every
+// byte, and a resume still repairs the tail and finishes the job.
+func TestPeekLeavesTornManifest(t *testing.T) {
+	desc := compileCLF(t)
+	data := clfCorpus(2000)
+	dir := t.TempDir()
+	cfg := oocConfig(t, desc, dir, "job", data, 1)
+	interruptAfterCommits(&cfg, 2)
+	if _, err := segment.Run(cfg); err == nil {
+		t.Fatal("interrupted run reported success")
+	}
+	f, err := os.OpenFile(cfg.Manifest, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"kind":"seg","index":`); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	before := readFile(t, cfg.Manifest)
+
+	info, err := segment.Peek(cfg.Manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Complete || info.Committed < 2 {
+		t.Errorf("torn manifest reads as %+v, want an incomplete job with its commits", info)
+	}
+	if after := readFile(t, cfg.Manifest); !bytes.Equal(after, before) {
+		t.Fatalf("Peek changed the manifest: %d bytes before, %d after", len(before), len(after))
+	}
+
+	resumed := oocConfig(t, desc, dir, "job", data, 2)
+	resumed.Resume = true
+	if _, err := segment.Run(resumed); err != nil {
+		t.Fatalf("resume of a peeked torn manifest: %v", err)
+	}
+	if info, err := segment.Peek(resumed.Manifest); err != nil || !info.Complete {
+		t.Fatalf("resumed manifest: %+v, %v", info, err)
+	}
+}
+
 // TestResumeQuarantinePathFromManifest: the manifest's quarantine path wins
 // over the resuming caller's, so a resume that names none (a bare
 // `-resume MANIFEST`) still appends the rest of the dead letters.

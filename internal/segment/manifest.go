@@ -131,69 +131,13 @@ func createManifest(path string, job jobLine) (*manifest, error) {
 	return m, nil
 }
 
-// loadManifest reads a journal back, dropping a torn final line, and leaves
-// the file open for appending at the end of the last intact line.
+// loadManifest reads a journal back for resuming: it truncates a torn final
+// line, makes that repair durable, and leaves the file open for appending at
+// the end of the last intact line.
 func loadManifest(path string) (*manifest, error) {
-	data, err := os.ReadFile(path)
+	m, good, err := readManifest(path)
 	if err != nil {
 		return nil, err
-	}
-	m := &manifest{path: path}
-	good := 0 // bytes of intact lines
-	sawJob := false
-	for off := 0; off < len(data); {
-		nl := bytes.IndexByte(data[off:], '\n')
-		if nl < 0 {
-			break // torn tail: no terminator
-		}
-		line := data[off : off+nl]
-		var probe struct {
-			Kind string `json:"kind"`
-		}
-		if err := json.Unmarshal(line, &probe); err != nil {
-			if off+nl+1 >= len(data) {
-				break // torn tail: unparseable final line
-			}
-			return nil, fmt.Errorf("segment: manifest %s corrupt at byte %d: %v", path, off, err)
-		}
-		switch probe.Kind {
-		case "job":
-			if sawJob {
-				return nil, fmt.Errorf("segment: manifest %s has two job lines", path)
-			}
-			if err := json.Unmarshal(line, &m.job); err != nil {
-				return nil, err
-			}
-			sawJob = true
-		case "seg":
-			var sl segLine
-			if err := json.Unmarshal(line, &sl); err != nil {
-				return nil, err
-			}
-			if sl.Index != len(m.segs) {
-				return nil, fmt.Errorf("segment: manifest %s commits segment %d out of order (want %d)", path, sl.Index, len(m.segs))
-			}
-			m.segs = append(m.segs, sl)
-		case "done":
-			var dl doneLine
-			if err := json.Unmarshal(line, &dl); err != nil {
-				return nil, err
-			}
-			m.done = &dl
-		default:
-			if off+nl+1 >= len(data) {
-				break // torn tail that happened to parse as JSON of no known kind
-			}
-			return nil, fmt.Errorf("segment: manifest %s has unknown line kind %q", path, probe.Kind)
-		}
-		off += nl + 1
-		good = off
-	}
-	if !sawJob {
-		return nil, fmt.Errorf("segment: manifest %s has no job line (torn before the first commit); remove it and start over", path)
-	}
-	if m.job.V != manifestVersion {
-		return nil, fmt.Errorf("segment: manifest %s is version %d, this build reads %d", path, m.job.V, manifestVersion)
 	}
 	if m.done != nil {
 		return m, nil // complete: no append handle needed
@@ -219,6 +163,74 @@ func loadManifest(path string) (*manifest, error) {
 	}
 	m.f = f
 	return m, nil
+}
+
+// readManifest parses a journal without touching the file: it returns the
+// journal up to its last intact line and that line's end offset. A torn
+// final line is left in place for the caller to repair or ignore.
+func readManifest(path string) (*manifest, int, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, 0, err
+	}
+	m := &manifest{path: path}
+	good := 0 // bytes of intact lines
+	sawJob := false
+	for off := 0; off < len(data); {
+		nl := bytes.IndexByte(data[off:], '\n')
+		if nl < 0 {
+			break // torn tail: no terminator
+		}
+		line := data[off : off+nl]
+		var probe struct {
+			Kind string `json:"kind"`
+		}
+		if err := json.Unmarshal(line, &probe); err != nil {
+			if off+nl+1 >= len(data) {
+				break // torn tail: unparseable final line
+			}
+			return nil, 0, fmt.Errorf("segment: manifest %s corrupt at byte %d: %v", path, off, err)
+		}
+		switch probe.Kind {
+		case "job":
+			if sawJob {
+				return nil, 0, fmt.Errorf("segment: manifest %s has two job lines", path)
+			}
+			if err := json.Unmarshal(line, &m.job); err != nil {
+				return nil, 0, err
+			}
+			sawJob = true
+		case "seg":
+			var sl segLine
+			if err := json.Unmarshal(line, &sl); err != nil {
+				return nil, 0, err
+			}
+			if sl.Index != len(m.segs) {
+				return nil, 0, fmt.Errorf("segment: manifest %s commits segment %d out of order (want %d)", path, sl.Index, len(m.segs))
+			}
+			m.segs = append(m.segs, sl)
+		case "done":
+			var dl doneLine
+			if err := json.Unmarshal(line, &dl); err != nil {
+				return nil, 0, err
+			}
+			m.done = &dl
+		default:
+			if off+nl+1 >= len(data) {
+				break // torn tail that happened to parse as JSON of no known kind
+			}
+			return nil, 0, fmt.Errorf("segment: manifest %s has unknown line kind %q", path, probe.Kind)
+		}
+		off += nl + 1
+		good = off
+	}
+	if !sawJob {
+		return nil, 0, fmt.Errorf("segment: manifest %s has no job line (torn before the first commit); remove it and start over", path)
+	}
+	if m.job.V != manifestVersion {
+		return nil, 0, fmt.Errorf("segment: manifest %s is version %d, this build reads %d", path, m.job.V, manifestVersion)
+	}
+	return m, good, nil
 }
 
 // appendSegs journals a commit batch: all lines in one write, one fsync.
@@ -334,13 +346,14 @@ type Info struct {
 	Complete   bool   `json:"complete"`
 }
 
-// Peek loads a manifest read-only and summarizes it.
+// Peek reads a manifest and summarizes it. It never writes to the file: a
+// torn final line is ignored here and repaired only by a resume, so peeking
+// a journal another process is still appending to cannot cut its commits.
 func Peek(path string) (Info, error) {
-	m, err := loadManifest(path)
+	m, _, err := readManifest(path)
 	if err != nil {
 		return Info{}, err
 	}
-	m.close()
 	in := Info{
 		File: m.job.File, Size: m.job.Size, Mode: m.job.Mode, Disc: m.job.Disc,
 		SegSize: m.job.SegSize, Segments: m.job.Segments,
