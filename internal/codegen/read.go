@@ -76,7 +76,7 @@ func (g *gen) argInt(a ir.Arg, sc *scope) string {
 	if a.IsConst {
 		return fmt.Sprintf("%d", a.Const)
 	}
-	code, t := g.expr(g.prog.Exprs[a.Expr], sc)
+	code, t := g.expr(g.prog.Exprs[a.Expr].Src, sc)
 	return "int(" + asNum(code, t) + ")"
 }
 
@@ -85,7 +85,7 @@ func (g *gen) argByte(a ir.Arg, sc *scope) string {
 	if a.IsConst {
 		return fmt.Sprintf("%q", byte(a.Const))
 	}
-	code, t := g.expr(g.prog.Exprs[a.Expr], sc)
+	code, t := g.expr(g.prog.Exprs[a.Expr].Src, sc)
 	return "byte(" + asNum(code, t) + ")"
 }
 
@@ -729,7 +729,7 @@ func (g *gen) emitArray(d *dsl.ArrayDecl) {
 		if spec.MinSize.IsConst {
 			g.p("\tminSize := int64(%d)", spec.MinSize.Const)
 		} else {
-			code, t := g.expr(g.prog.Exprs[spec.MinSize.Expr], sc)
+			code, t := g.expr(g.prog.Exprs[spec.MinSize.Expr].Src, sc)
 			g.p("\tminSize := %s", asNum(code, t))
 		}
 	}
@@ -737,7 +737,7 @@ func (g *gen) emitArray(d *dsl.ArrayDecl) {
 		if spec.MaxSize.IsConst {
 			g.p("\tmaxSize := int64(%d)", spec.MaxSize.Const)
 		} else {
-			code, t := g.expr(g.prog.Exprs[spec.MaxSize.Expr], sc)
+			code, t := g.expr(g.prog.Exprs[spec.MaxSize.Expr].Src, sc)
 			g.p("\tmaxSize := %s", asNum(code, t))
 		}
 	}
@@ -749,7 +749,7 @@ func (g *gen) emitArray(d *dsl.ArrayDecl) {
 		g.p("\t\t}")
 	}
 	if spec.EndedPred != ir.None {
-		cond, _ := g.expr(g.prog.Exprs[spec.EndedPred], seqSc)
+		cond, _ := g.expr(g.prog.Exprs[spec.EndedPred].Src, seqSc)
 		g.p("\t\tif %s {", cond)
 		g.p("\t\t\tbreak")
 		g.p("\t\t}")
@@ -806,7 +806,7 @@ func (g *gen) emitArray(d *dsl.ArrayDecl) {
 	if spec.LastPred != ir.None {
 		lsc := newScope(seqSc)
 		lsc.bind("elt", "(*er)", g.tyOfRef(d.Elem))
-		cond, _ := g.expr(g.prog.Exprs[spec.LastPred], lsc)
+		cond, _ := g.expr(g.prog.Exprs[spec.LastPred].Src, lsc)
 		g.p("\t\tif %s {", cond)
 		g.p("\t\t\tbreak")
 		g.p("\t\t}")
@@ -819,7 +819,7 @@ func (g *gen) emitArray(d *dsl.ArrayDecl) {
 		g.p("\t}")
 	}
 	if spec.Where != ir.None {
-		cond, _ := g.expr(g.prog.Exprs[spec.Where], seqSc)
+		cond, _ := g.expr(g.prog.Exprs[spec.Where].Src, seqSc)
 		g.p("\tif %s && pd.PD.Nerr == 0 {", g.doCheckExpr("m.CompoundLevel"))
 		g.p("\t\tif !(%s) {", cond)
 		g.p("\t\t\tpd.PD.SetError(padsrt.ErrWhere, s.LocFrom(begin))")

@@ -68,6 +68,18 @@ func (rr *astReader) Header() value.Value { return rr.header }
 func (rr *astReader) More() bool          { return rr.s.More() && rr.s.Err() == nil }
 func (rr *astReader) Read() value.Value   { return rr.w.parseDecl(rr.rec, rr.s, rr.mask, nil) }
 
+// bindParams binds a declaration's parameters to its arguments in a fresh
+// scope.
+func bindParams(params []dsl.Param, args []expr.V) *expr.Env {
+	e := expr.NewEnv(nil)
+	for i, p := range params {
+		if i < len(args) {
+			e.Bind(p.Name, args[i])
+		}
+	}
+	return e
+}
+
 // parseDecl parses one value of declaration d. It opens/closes a record
 // window when d is Precord-annotated and performs panic-mode recovery to the
 // record boundary when the content is damaged.

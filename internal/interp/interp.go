@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"strings"
 
-	"pads/internal/dsl"
 	"pads/internal/expr"
 	"pads/internal/ir"
 	"pads/internal/padsrt"
@@ -26,13 +25,15 @@ import (
 // dotted field path and histograms union branch selection; Tracer emits one
 // structured event per parsing decision (docs/OBSERVABILITY.md). Both default
 // to nil, which costs one branch per decision and nothing else. An Interp is
-// single-goroutine: besides the evaluator's call-depth state it owns the
-// VM's chunks of leaf value nodes, which are per-Interp and unsynchronized.
+// single-goroutine: it owns the VM's expression frame stack and its chunks
+// of leaf value nodes, which are per-Interp and unsynchronized.
 // That is why sharded parses, segment workers, and padsd requests each parse
 // on their own Clone (see RecordReader.Shard, which also routes the shard's
 // counters to its chunk source's Stats).
 type Interp struct {
-	Desc   *sema.Desc
+	Desc *sema.Desc
+	// Ev is the reference expression evaluator over the checked AST, for
+	// the writer and the data generator; parsing runs compiled code.
 	Ev     *expr.Evaluator
 	Stats  *telemetry.Stats
 	Tracer *telemetry.Tracer
@@ -50,6 +51,10 @@ type Interp struct {
 	// prog is the lowered IR program (internal/ir) the VM executes. New
 	// lowers it once; an Interp never has a nil prog.
 	prog *ir.Program
+	// code is prog's compiled expressions, shared with clones; fr is this
+	// Interp's frame stack they run over (compile.go).
+	code *code
+	fr   frames
 
 	path []string // dotted field path stack, maintained only while observing
 
@@ -85,25 +90,27 @@ func (in *Interp) traceSpan(ev, name, branch string, begin padsrt.Pos, s *padsrt
 }
 
 // New builds an interpreter for the description. The description is lowered
-// to the flat IR once, here, and parsed by the bytecode VM; a description
-// that cannot be lowered is an error.
+// to the flat IR and its expressions compiled once, here, and parsed by the
+// bytecode VM; a description that cannot be lowered is an error.
 func New(desc *sema.Desc) (*Interp, error) {
 	p, err := ir.Lower(desc)
 	if err != nil {
 		return nil, err
 	}
-	return &Interp{Desc: desc, Ev: expr.New(desc), prog: p}, nil
+	return newInterp(desc, p, compileProgram(p)), nil
 }
 
-// Clone returns an interpreter over the same checked description and lowered
-// program but with private mutable state: a fresh expression evaluator
-// (evaluation carries call-depth state), its own leaf chunks, and detached
-// observers. It is the compile-once, parse-many primitive — segment shards
-// and the padsd registry both clone one compiled description per concurrent
-// parse instead of re-lowering it.
-func (in *Interp) Clone() *Interp {
-	return &Interp{Desc: in.Desc, Ev: expr.New(in.Desc), prog: in.prog}
+func newInterp(desc *sema.Desc, p *ir.Program, c *code) *Interp {
+	return &Interp{Desc: desc, Ev: expr.New(desc), prog: p, code: c, fr: frames{slots: make([]dyn, c.slots)}}
 }
+
+// Clone returns an interpreter over the same checked description, lowered
+// program and compiled expressions but with private mutable state: a fresh
+// expression evaluator (evaluation carries call-depth state), its own frame
+// stack and leaf chunks, and detached observers. It is the compile-once,
+// parse-many primitive — segment shards and the padsd registry both clone
+// one compiled description per concurrent parse instead of re-lowering it.
+func (in *Interp) Clone() *Interp { return newInterp(in.Desc, in.prog, in.code) }
 
 // ParseSource parses the entire data source according to the description's
 // Psource declaration, with full checking. For large inputs prefer the
@@ -121,18 +128,23 @@ func (in *Interp) ParseType(name string, s *padsrt.Source, mask *padsrt.MaskNode
 	if !ok {
 		return nil, fmt.Errorf("interp: unknown type %s", name)
 	}
-	v := in.execDecl(id, s, mask, args)
+	v := in.parseTop(id, s, mask, args)
 	return v, s.Err()
 }
 
-// bindParams binds a declaration's parameters to its arguments in a fresh
-// scope.
-func bindParams(params []dsl.Param, args []expr.V) *expr.Env {
-	e := expr.NewEnv(nil)
-	for i, p := range params {
+// parseTop parses one value of a declaration from outside any other: the
+// frame stack starts empty, and the declaration's parameters are bound to
+// args, those without an argument left unbound.
+func (in *Interp) parseTop(id ir.DeclID, s *padsrt.Source, mask *padsrt.MaskNode, args []expr.V) value.Value {
+	f := &in.fr
+	f.base, f.top, f.depth = 0, 0, 0
+	params := len(in.prog.Decls[id].Params)
+	f.reserve(params)
+	for i := 0; i < params; i++ {
+		f.slots[i] = dyn{k: kUnset}
 		if i < len(args) {
-			e.Bind(p.Name, args[i])
+			f.slots[i] = fromV(args[i])
 		}
 	}
-	return e
+	return in.execDecl(id, s, mask, 0)
 }

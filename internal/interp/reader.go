@@ -92,7 +92,7 @@ func (in *Interp) NewRecordReader(s *padsrt.Source, mask *padsrt.MaskNode) (*Rec
 		if !ok {
 			return nil, fmt.Errorf("interp: unknown header type %s", shape.HeaderType)
 		}
-		rr.header = in.execDecl(hdr, s, nil, nil)
+		rr.header = in.parseTop(hdr, s, nil, nil)
 	}
 	return rr, nil
 }
@@ -121,13 +121,13 @@ func (rr *RecordReader) More() bool {
 
 // Read parses the next record.
 func (rr *RecordReader) Read() value.Value {
-	return rr.note(rr.in.execDecl(rr.rec, rr.s, rr.mask, nil))
+	return rr.note(rr.in.parseTop(rr.rec, rr.s, rr.mask, nil))
 }
 
 // ReadWith parses the next record under a specific mask (overriding the
 // reader's default), the per-application knob of section 5.1.2.
 func (rr *RecordReader) ReadWith(mask *padsrt.MaskNode) value.Value {
-	return rr.note(rr.in.execDecl(rr.rec, rr.s, mask, nil))
+	return rr.note(rr.in.parseTop(rr.rec, rr.s, mask, nil))
 }
 
 // note applies the error budget and dead-letter policy to a just-parsed

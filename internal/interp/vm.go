@@ -2,7 +2,6 @@ package interp
 
 import (
 	"pads/internal/dsl"
-	"pads/internal/expr"
 	"pads/internal/ir"
 	"pads/internal/padsrt"
 	"pads/internal/sema"
@@ -15,7 +14,9 @@ import (
 // description: base reads dispatch on precompiled ReadOps, literals come
 // from the matcher pool, enum members are pre-sorted longest-first, and
 // speculative union branches are pre-screened through table-driven
-// first-byte classes.
+// first-byte classes, and every expression runs as a closure compiled once
+// from the lowered expression pool (compile.go) over the Interp's frame
+// stack.
 //
 // Its semantics are pinned against the reference AST walk, a test-only
 // oracle (astwalk_test.go) that interprets the checked AST directly with
@@ -34,8 +35,9 @@ const noBranch = "<none>"
 
 // execDecl parses one value of a lowered declaration, opening and closing a
 // record window for Precord types and resynchronizing a damaged record at
-// its boundary (panic mode).
-func (in *Interp) execDecl(decl ir.DeclID, s *padsrt.Source, mask *padsrt.MaskNode, args []expr.V) value.Value {
+// its boundary (panic mode). win is the frame slot where the declaration's
+// window starts, its parameters already bound there.
+func (in *Interp) execDecl(decl ir.DeclID, s *padsrt.Source, mask *padsrt.MaskNode, win int) value.Value {
 	p := in.prog
 	di := &p.Decls[decl]
 	root := di.Root
@@ -57,7 +59,7 @@ func (in *Interp) execDecl(decl ir.DeclID, s *padsrt.Source, mask *padsrt.MaskNo
 			in.Prof.BeginRecord(di.Name, recBegin.Byte)
 		}
 		in.trace(telemetry.EvRecordBegin, di.Name, s)
-		v := in.execBody(root, s, mask, args, di)
+		v := in.execBody(root, s, mask, win, di)
 		pd := v.PD()
 		if s.RecordTruncated() {
 			pd.SetError(padsrt.ErrRecordTooLong, padsrt.Loc{Begin: recBegin, End: s.Pos()})
@@ -77,32 +79,43 @@ func (in *Interp) execDecl(decl ir.DeclID, s *padsrt.Source, mask *padsrt.MaskNo
 		in.traceSpan(telemetry.EvRecordEnd, di.Name, "", recBegin, s, pd.ErrCode)
 		return v
 	}
-	return in.execBody(root, s, mask, args, di)
+	return in.execBody(root, s, mask, win, di)
 }
 
-// execBody parses the body of a declaration node. Environments are built
-// only for declarations that evaluate expressions (ir.FNeedEnv); everything
-// else skips the map allocation and per-field binds entirely.
-func (in *Interp) execBody(id ir.NodeID, s *padsrt.Source, mask *padsrt.MaskNode, args []expr.V, di *ir.DeclInfo) value.Value {
-	p := in.prog
-	n := &p.Nodes[id]
-	var env *expr.Env
-	if n.Flags&ir.FNeedEnv != 0 {
-		env = bindParams(di.Params, args)
+// execBody parses the body of a declaration node. A frame window is opened
+// only for declarations that evaluate expressions (ir.FNeedEnv); own is the
+// window slot of the declaration's first own binding (after its
+// parameters; sema.Binding lays the window out), or -1 when there is no
+// window and nothing is bound.
+func (in *Interp) execBody(id ir.NodeID, s *padsrt.Source, mask *padsrt.MaskNode, win int, di *ir.DeclInfo) value.Value {
+	n := &in.prog.Nodes[id]
+	if n.Flags&ir.FNeedEnv == 0 {
+		return in.execNode(id, s, mask, -1, di)
 	}
+	f := &in.fr
+	base, top := f.base, f.top
+	f.reserve(win + int(di.Frame))
+	f.base, f.top = win, win+int(di.Frame)
+	v := in.execNode(id, s, mask, int32(len(di.Params)), di)
+	f.base, f.top = base, top
+	return v
+}
+
+func (in *Interp) execNode(id ir.NodeID, s *padsrt.Source, mask *padsrt.MaskNode, own int32, di *ir.DeclInfo) value.Value {
+	n := &in.prog.Nodes[id]
 	switch n.Op {
 	case ir.OpStruct:
-		return in.execStruct(id, s, mask, env)
+		return in.execStruct(id, s, mask, own)
 	case ir.OpUnion:
-		return in.execUnion(n, s, mask, env)
+		return in.execUnion(n, s, mask, own)
 	case ir.OpSwitch:
-		return in.execSwitch(n, s, mask, env)
+		return in.execSwitch(n, s, mask, own)
 	case ir.OpArray:
-		return in.execArray(n, s, mask, env)
+		return in.execArray(n, s, mask, own)
 	case ir.OpEnum:
 		return in.execEnum(n, s)
 	case ir.OpTypedef:
-		return in.execTypedef(n, s, mask, env)
+		return in.execTypedef(n, s, mask, own)
 	}
 	v := in.leaves.void(di.Name)
 	v.PD().SetError(padsrt.ErrInternal, padsrt.Loc{})
@@ -125,28 +138,35 @@ func (in *Interp) matchLit(l *ir.Lit, s *padsrt.Source) padsrt.ErrCode {
 }
 
 // execRef parses a type-reference node (OpOpt, OpBase, or OpCall).
-func (in *Interp) execRef(id ir.NodeID, s *padsrt.Source, mask *padsrt.MaskNode, env *expr.Env) value.Value {
+// Argument expressions evaluate in the current frame window.
+func (in *Interp) execRef(id ir.NodeID, s *padsrt.Source, mask *padsrt.MaskNode) value.Value {
 	p := in.prog
 	n := &p.Nodes[id]
 	switch n.Op {
 	case ir.OpBase:
-		return in.execBase(&p.Bases[n.A], s, mask, env)
+		return in.execBase(&p.Bases[n.A], s, mask)
 	case ir.OpCall:
-		var args []expr.V
+		// The callee's window starts at the top of the stack; its
+		// parameters are evaluated straight into its first slots.
+		f := &in.fr
+		win := f.top
 		if n.B != ir.None {
 			list := p.Cases[n.B]
-			args = make([]expr.V, 0, len(list))
-			for _, eid := range list {
-				av, err := in.Ev.Eval(p.Exprs[eid], env)
-				if err != nil {
+			f.reserve(win + len(list))
+			f.top = win + len(list)
+			for i, eid := range list {
+				av, ok := in.code.vals[eid](f)
+				if !ok {
+					f.top = win
 					v := in.leaves.void(n.Name)
 					v.PD().SetError(padsrt.ErrBadParam, padsrt.Loc{Begin: s.Pos(), End: s.Pos()})
 					return v
 				}
-				args = append(args, av)
+				f.slots[win+i] = av
 			}
+			f.top = win
 		}
-		return in.execDecl(n.A, s, mask, args)
+		return in.execDecl(n.A, s, mask, win)
 	case ir.OpOpt:
 		child := n.A
 		opt := &value.Opt{Common: value.NewCommon(p.OptTypes[id])}
@@ -166,7 +186,7 @@ func (in *Interp) execRef(id ir.NodeID, s *padsrt.Source, mask *padsrt.MaskNode,
 		default:
 			s.Checkpoint()
 		}
-		v := in.execRef(child, s, mask, env)
+		v := in.execRef(child, s, mask)
 		if v.PD().Nerr == 0 {
 			if !atomic && !rewind {
 				s.Commit()
@@ -190,11 +210,12 @@ func (in *Interp) execRef(id ir.NodeID, s *padsrt.Source, mask *padsrt.MaskNode,
 	return v
 }
 
-func (in *Interp) execStruct(id ir.NodeID, s *padsrt.Source, mask *padsrt.MaskNode, env *expr.Env) value.Value {
+func (in *Interp) execStruct(id ir.NodeID, s *padsrt.Source, mask *padsrt.MaskNode, own int32) value.Value {
 	p := in.prog
 	n := &p.Nodes[id]
 	st := newStruct(n.Name, int(n.D))
 	pd := st.PD()
+	slot := own // the next field's window slot
 	for _, kid := range p.KidsOf(n) {
 		k := &p.Nodes[kid]
 		if k.Op == ir.OpLit {
@@ -221,12 +242,15 @@ func (in *Interp) execStruct(id ir.NodeID, s *padsrt.Source, mask *padsrt.MaskNo
 		if profOpen {
 			in.Prof.Enter(k.Name, s.Pos().Byte)
 		}
-		fv := in.execRef(k.A, s, fmask, env)
+		fv := in.execRef(k.A, s, fmask)
+		if own >= 0 {
+			// Bound before its own constraint, which reads it under the
+			// same name; fields are bound whether or not they parsed.
+			in.fr.setRef(slot, fv)
+			slot++
+		}
 		if k.B != ir.None && fmask.BaseMask().DoCheck() && fv.PD().Nerr == 0 {
-			fe := expr.NewEnv(env)
-			fe.Bind(k.Name, expr.FromValue(fv))
-			ok, _ := in.Ev.EvalPred(p.Exprs[k.B], fe)
-			if !ok {
+			if ok, _ := in.code.bools[k.B](&in.fr); !ok {
 				fv.PD().SetError(padsrt.ErrConstraint, padsrt.Loc{Begin: s.Pos(), End: s.Pos()})
 			}
 		}
@@ -246,13 +270,9 @@ func (in *Interp) execStruct(id ir.NodeID, s *padsrt.Source, mask *padsrt.MaskNo
 		}
 		pd.AddChildErrors(fv.PD(), padsrt.ErrStructField)
 		st.Fields = append(st.Fields, fv)
-		if env != nil {
-			env.Bind(k.Name, expr.FromValue(fv))
-		}
 	}
 	if n.C != ir.None && mask.CompoundMask().DoCheck() {
-		ok, _ := in.Ev.EvalPred(p.Exprs[n.C], env)
-		if !ok {
+		if ok, _ := in.code.bools[n.C](&in.fr); !ok {
 			pd.SetError(padsrt.ErrWhere, padsrt.Loc{Begin: s.Pos(), End: s.Pos()})
 		}
 	}
@@ -264,23 +284,20 @@ func (in *Interp) execStruct(id ir.NodeID, s *padsrt.Source, mask *padsrt.MaskNo
 
 // execBranch parses one union branch or switch case (an OpField node) with
 // its constraint, which always runs when checking is on: constraints decide
-// which branch matches.
-func (in *Interp) execBranch(k *ir.Node, s *padsrt.Source, mask *padsrt.MaskNode, env *expr.Env) value.Value {
-	p := in.prog
+// which branch matches. The branch value is bound in the window slot own.
+func (in *Interp) execBranch(k *ir.Node, s *padsrt.Source, mask *padsrt.MaskNode, own int32) value.Value {
 	fmask := mask.Field(k.Name)
-	bv := in.execRef(k.A, s, fmask, env)
+	bv := in.execRef(k.A, s, fmask)
 	if k.B != ir.None && bv.PD().Nerr == 0 && fmask.BaseMask().DoCheck() {
-		fe := expr.NewEnv(env)
-		fe.Bind(k.Name, expr.FromValue(bv))
-		ok, _ := in.Ev.EvalPred(p.Exprs[k.B], fe)
-		if !ok {
+		in.fr.setRef(own, bv)
+		if ok, _ := in.code.bools[k.B](&in.fr); !ok {
 			bv.PD().SetError(padsrt.ErrConstraint, padsrt.Loc{Begin: s.Pos(), End: s.Pos()})
 		}
 	}
 	return bv
 }
 
-func (in *Interp) execUnion(n *ir.Node, s *padsrt.Source, mask *padsrt.MaskNode, env *expr.Env) value.Value {
+func (in *Interp) execUnion(n *ir.Node, s *padsrt.Source, mask *padsrt.MaskNode, own int32) value.Value {
 	p := in.prog
 	un := &value.Union{Common: value.NewCommon(n.Name)}
 	pd := un.PD()
@@ -327,7 +344,7 @@ func (in *Interp) execUnion(n *ir.Node, s *padsrt.Source, mask *padsrt.MaskNode,
 		if profOpen {
 			in.Prof.Enter(k.Name, s.Pos().Byte)
 		}
-		bv := in.execBranch(k, s, mask, env)
+		bv := in.execBranch(k, s, mask, own)
 		if bv.PD().Nerr == 0 {
 			if !atomic && !rewind {
 				s.Commit()
@@ -364,14 +381,14 @@ func (in *Interp) execUnion(n *ir.Node, s *padsrt.Source, mask *padsrt.MaskNode,
 	return un
 }
 
-func (in *Interp) execSwitch(n *ir.Node, s *padsrt.Source, mask *padsrt.MaskNode, env *expr.Env) value.Value {
+func (in *Interp) execSwitch(n *ir.Node, s *padsrt.Source, mask *padsrt.MaskNode, own int32) value.Value {
 	p := in.prog
 	un := &value.Union{Common: value.NewCommon(n.Name)}
 	pd := un.PD()
 	begin := s.Pos()
 
-	sel, err := in.Ev.Eval(p.Exprs[n.C], env)
-	if err != nil {
+	sel, ok := in.code.vals[n.C](&in.fr)
+	if !ok {
 		pd.SetError(padsrt.ErrBadParam, padsrt.Loc{Begin: begin, End: begin})
 		return un
 	}
@@ -383,8 +400,7 @@ func (in *Interp) execSwitch(n *ir.Node, s *padsrt.Source, mask *padsrt.MaskNode
 			continue // Pdefault; only taken when no value matches
 		}
 		for _, eid := range p.Cases[k.D] {
-			vv, err := in.Ev.Eval(p.Exprs[eid], env)
-			if err == nil && expr.EqualV(sel, vv) {
+			if vv, ok := in.code.vals[eid](&in.fr); ok && equal(sel, vv) {
 				chosen = k
 				break
 			}
@@ -408,7 +424,7 @@ func (in *Interp) execSwitch(n *ir.Node, s *padsrt.Source, mask *padsrt.MaskNode
 	if profOpen {
 		in.Prof.Enter(chosen.Name, s.Pos().Byte)
 	}
-	bv := in.execBranch(chosen, s, mask, env)
+	bv := in.execBranch(chosen, s, mask, own)
 	if profOpen {
 		in.Prof.Exit(s.Pos().Byte, bv.PD().Nerr > 0)
 	}
@@ -422,35 +438,38 @@ func (in *Interp) execSwitch(n *ir.Node, s *padsrt.Source, mask *padsrt.MaskNode
 	return un
 }
 
-func (in *Interp) execArray(n *ir.Node, s *padsrt.Source, mask *padsrt.MaskNode, env *expr.Env) value.Value {
+func (in *Interp) execArray(n *ir.Node, s *padsrt.Source, mask *padsrt.MaskNode, own int32) value.Value {
 	p := in.prog
 	spec := &p.Arrays[n.A]
 	arr := &value.Array{Common: value.NewCommon(n.Name)}
 	pd := arr.PD()
 	begin := s.Pos()
+	f := &in.fr
 
+	// A size that fails to evaluate sets no bound; one that evaluates to
+	// something toInt rejects is 0.
 	var minSize, maxSize int64 = -1, -1
 	if spec.HasMin {
 		if spec.MinSize.IsConst {
 			minSize = spec.MinSize.Const
-		} else if v, err := in.Ev.Eval(p.Exprs[spec.MinSize.Expr], env); err == nil {
-			minSize, _ = expr.ToInt(v)
+		} else if v, ok := in.code.vals[spec.MinSize.Expr](f); ok {
+			minSize, _ = toInt(v)
 		}
 	}
 	if spec.HasMax {
 		if spec.MaxSize.IsConst {
 			maxSize = spec.MaxSize.Const
-		} else if v, err := in.Ev.Eval(p.Exprs[spec.MaxSize.Expr], env); err == nil {
-			maxSize, _ = expr.ToInt(v)
+		} else if v, ok := in.code.vals[spec.MaxSize.Expr](f); ok {
+			maxSize, _ = toInt(v)
 		}
 	}
 
 	elemMask := mask.ElemMask()
-	bindSeqEnv := func() *expr.Env {
-		e := expr.NewEnv(env)
-		e.Bind("elts", expr.FromValue(arr))
-		e.Bind("length", expr.Int(int64(len(arr.Elems))))
-		return e
+	// bindSeq binds elts and length (window slots own, own+1) for the
+	// array's predicates; elt is own+2.
+	bindSeq := func() {
+		f.setRef(own, arr)
+		f.setInt(own+1, int64(len(arr.Elems)))
 	}
 
 	for {
@@ -458,7 +477,8 @@ func (in *Interp) execArray(n *ir.Node, s *padsrt.Source, mask *padsrt.MaskNode,
 			break
 		}
 		if spec.EndedPred != ir.None {
-			if ok, _ := in.Ev.EvalPred(p.Exprs[spec.EndedPred], bindSeqEnv()); ok {
+			bindSeq()
+			if ok, _ := in.code.bools[spec.EndedPred](f); ok {
 				break
 			}
 		}
@@ -508,7 +528,7 @@ func (in *Interp) execArray(n *ir.Node, s *padsrt.Source, mask *padsrt.MaskNode,
 			if profOpen {
 				in.Prof.Enter("[]", posBefore.Byte)
 			}
-			ev := in.execRef(n.B, s, elemMask, env)
+			ev := in.execRef(n.B, s, elemMask)
 			if profOpen {
 				in.Prof.Exit(s.Pos().Byte, ev.PD().Nerr > 0)
 			}
@@ -527,9 +547,9 @@ func (in *Interp) execArray(n *ir.Node, s *padsrt.Source, mask *padsrt.MaskNode,
 				}
 			}
 			if spec.LastPred != ir.None {
-				e := bindSeqEnv()
-				e.Bind("elt", expr.FromValue(ev))
-				if ok, _ := in.Ev.EvalPred(p.Exprs[spec.LastPred], e); ok {
+				bindSeq()
+				f.setRef(own+2, ev)
+				if ok, _ := in.code.bools[spec.LastPred](f); ok {
 					break
 				}
 			}
@@ -541,8 +561,8 @@ done:
 		pd.SetError(padsrt.ErrArraySize, s.LocFrom(begin))
 	}
 	if spec.Where != ir.None && mask.CompoundMask().DoCheck() {
-		ok, _ := in.Ev.EvalPred(p.Exprs[spec.Where], bindSeqEnv())
-		if !ok {
+		bindSeq()
+		if ok, _ := in.code.bools[spec.Where](f); !ok {
 			pd.SetError(padsrt.ErrWhere, s.LocFrom(begin))
 		}
 	}
@@ -571,14 +591,11 @@ func (in *Interp) execEnum(n *ir.Node, s *padsrt.Source) value.Value {
 	return en
 }
 
-func (in *Interp) execTypedef(n *ir.Node, s *padsrt.Source, mask *padsrt.MaskNode, env *expr.Env) value.Value {
-	p := in.prog
-	v := in.execRef(n.A, s, mask, env)
+func (in *Interp) execTypedef(n *ir.Node, s *padsrt.Source, mask *padsrt.MaskNode, own int32) value.Value {
+	v := in.execRef(n.A, s, mask)
 	if n.B != ir.None && mask.BaseMask().DoCheck() && v.PD().Nerr == 0 {
-		ce := expr.NewEnv(env)
-		ce.Bind(n.Name, expr.FromValue(v))
-		ok, _ := in.Ev.EvalPred(p.Exprs[n.B], ce)
-		if !ok {
+		in.fr.setRef(own, v)
+		if ok, _ := in.code.bools[n.B](&in.fr); !ok {
 			v.PD().SetError(padsrt.ErrConstraint, padsrt.Loc{Begin: s.Pos(), End: s.Pos()})
 		}
 	}
@@ -587,7 +604,7 @@ func (in *Interp) execTypedef(n *ir.Node, s *padsrt.Source, mask *padsrt.MaskNod
 
 // execBase parses one base value from its resolved spec: no registry lookup,
 // no argument re-resolution when the description supplied constants.
-func (in *Interp) execBase(b *ir.BaseSpec, s *padsrt.Source, mask *padsrt.MaskNode, env *expr.Env) value.Value {
+func (in *Interp) execBase(b *ir.BaseSpec, s *padsrt.Source, mask *padsrt.MaskNode) value.Value {
 	begin := s.Pos()
 	name := b.Info.Name
 	fail := func(v value.Value, code padsrt.ErrCode) value.Value {
@@ -602,12 +619,8 @@ func (in *Interp) execBase(b *ir.BaseSpec, s *padsrt.Source, mask *padsrt.MaskNo
 			}
 			return a.Const, padsrt.ErrNone
 		}
-		v, err := in.Ev.Eval(in.prog.Exprs[a.Expr], env)
-		if err != nil {
-			return 0, padsrt.ErrBadParam
-		}
-		n, err := expr.ToInt(v)
-		if err != nil || n < 0 {
+		n, ok := in.code.ints[a.Expr](&in.fr)
+		if !ok || n < 0 {
 			return 0, padsrt.ErrBadParam
 		}
 		return n, padsrt.ErrNone
@@ -616,11 +629,11 @@ func (in *Interp) execBase(b *ir.BaseSpec, s *padsrt.Source, mask *padsrt.MaskNo
 		if a.IsConst {
 			return byte(a.Const), padsrt.ErrNone
 		}
-		v, err := in.Ev.Eval(in.prog.Exprs[a.Expr], env)
-		if err != nil || v.K != sema.KChar {
+		v, ok := in.code.vals[a.Expr](&in.fr)
+		if !ok || v.k != sema.KChar {
 			return 0, padsrt.ErrBadParam
 		}
-		return byte(v.I), padsrt.ErrNone
+		return byte(v.i), padsrt.ErrNone
 	}
 
 	switch b.Read {

@@ -299,6 +299,21 @@ func FuzzVMAgainstInterp(f *testing.F) {
 		[]byte("1,2\n0,5\n4,3\n"))
 	f.Add(`Pstruct ev { Pstring(:'|':) st; '|'; Puint32 ts; }; Parray seq { ev[] : Psep('|') && Pterm(Peor); } Pwhere { Pforall (i Pin [0..length-2] : (elts[i].ts <= elts[i+1].ts)); }; Precord Pstruct r { seq events; }; Psource Parray rs { r[]; };`,
 		[]byte("A|1|B|2\nA|5|B|3\nA|x\n"))
+	// Name resolution, which the compiled code fixes at lowering time: a
+	// field named like an enum member is the constant until the field is
+	// parsed and the field from its own constraint on; a union branch
+	// shadows a parameter of its name in its constraint only; an array's
+	// length shadows a parameter named length; an if-block local shadows
+	// the outer one, while an assignment outside any redeclaration writes
+	// the outer local.
+	f.Add(`Penum color { red, green }; Precord Pstruct r { color c : c == green || c == red; ','; Puint8 green : green > 1; ','; Puint8 x : x == green && c != red; Peor; } Pwhere { green < 9 }; Psource Parray rs { r[]; };`,
+		[]byte("green,2,2\nred,2,2\ngreen,1,1\ngreen,9,9\n"))
+	f.Add(`Punion u (:Puint8 k:) { Puint8 k : k > 3; Pstring(:';':) s : k == 1; }; Precord Pstruct r { Puint8 n; ':'; u(:n:) v; Peor; }; Psource Parray rs { r[]; };`,
+		[]byte("1:5\n1:2\n1:x\n2:y\n"))
+	f.Add(`Parray seq (:Puint8 length:) { Puint8[] : Psep(',') && Pterm(';'); } Pwhere { length > 1 }; Precord Pstruct r { Puint8 n; ':'; seq(:n:) v; Peor; }; Psource Parray rs { r[]; };`,
+		[]byte("0:1,2;\n9:1;\n"))
+	f.Add(`Pint32 pick(Pint32 a) { Pint32 x = a; if (a > 2) { Pint32 x = 0; x = 5; } else { x = a + 10; } return x; }; Precord Pstruct r { Puint8 a; ','; Puint8 b : b == pick(a); Peor; }; Psource Parray rs { r[]; };`,
+		[]byte("1,11\n3,3\n5,5\n2,12\n"))
 	// A failed literal as a nested struct's only error: the struct's own
 	// descriptor, not a child's, must turn Partial.
 	f.Add(`Pstruct kv { Puint8 k; '='; }; Precord Pstruct r { kv a; Puint8 v; Peor; }; Psource Parray rs { r[]; };`,

@@ -107,11 +107,14 @@ type Node struct {
 	D     int32
 }
 
-// DeclInfo is the lowered form of one named declaration.
+// DeclInfo is the lowered form of one named declaration. Frame is the
+// size of the expression frame it runs in when it evaluates expressions
+// (FNeedEnv): its parameters, then the slots sema.Binding lays out.
 type DeclInfo struct {
 	Name   string
 	Root   NodeID
 	Params []dsl.Param
+	Frame  int32
 }
 
 // Lit is a precompiled literal matcher: regexp literals hold their compiled
@@ -217,17 +220,6 @@ type Arg struct {
 	Expr    ExprID
 }
 
-// constArg folds a literal expression; falls back to a pooled expression.
-func (p *Program) constArg(e dsl.Expr) Arg {
-	switch e := e.(type) {
-	case *dsl.IntExpr:
-		return Arg{IsConst: true, Const: e.Val}
-	case *dsl.CharExpr:
-		return Arg{IsConst: true, Const: int64(e.Val)}
-	}
-	return Arg{Expr: p.addExpr(e)}
-}
-
 // BaseSpec is a resolved base-type read: opcode, width/terminator arguments
 // (folded when constant), and the compiled regexp for matched strings.
 // BadParam marks statically malformed references (wrong argument shape);
@@ -310,8 +302,12 @@ type Program struct {
 	Decls  []DeclInfo
 	byName map[string]DeclID
 
-	Lits    []Lit
-	Exprs   []dsl.Expr
+	Lits []Lit
+	// Exprs is the pool of compiled-expression terms (expr.go); the
+	// ExprIDs nodes and specs hold index its roots. Funcs holds the
+	// lowered predicate functions that XCall terms name.
+	Exprs   []Expr
+	Funcs   []Func
 	Refs    []dsl.TypeRef
 	Bases   []BaseSpec
 	Arrays  []ArraySpec
@@ -378,14 +374,6 @@ func (p *Program) FieldOffset(structID NodeID, item int) int32 {
 		off += w
 	}
 	return None
-}
-
-func (p *Program) addExpr(e dsl.Expr) ExprID {
-	if e == nil {
-		return None
-	}
-	p.Exprs = append(p.Exprs, e)
-	return ExprID(len(p.Exprs) - 1)
 }
 
 func (p *Program) addRef(tr dsl.TypeRef) int32 {

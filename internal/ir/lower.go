@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"pads/internal/dsl"
+	"pads/internal/expr"
 	"pads/internal/sema"
 )
 
@@ -12,7 +13,8 @@ import (
 // compilation, branch ordering, and foldable constant is resolved here.
 func Lower(desc *sema.Desc) (*Program, error) {
 	p := &Program{Desc: desc, byName: make(map[string]DeclID)}
-	l := &lowerer{p: p}
+	l := &lowerer{p: p, x: &exprLowerer{p: p, ev: expr.New(desc), funcID: make(map[string]int32)}}
+	l.x.lowerFuncs()
 
 	// Declaration table first, in source order, so forward and recursive
 	// references resolve to stable DeclIDs.
@@ -21,7 +23,7 @@ func Lower(desc *sema.Desc) (*Program, error) {
 			continue
 		}
 		p.byName[d.DeclName()] = DeclID(len(p.Decls))
-		p.Decls = append(p.Decls, DeclInfo{Name: d.DeclName(), Root: None, Params: declParams(d)})
+		p.Decls = append(p.Decls, DeclInfo{Name: d.DeclName(), Root: None, Params: declParams(d), Frame: int32(desc.Frames[d])})
 	}
 	for _, d := range desc.Program.Decls {
 		if _, ok := d.(*dsl.FuncDecl); ok {
@@ -61,6 +63,7 @@ func declParams(d dsl.Decl) []dsl.Param {
 
 type lowerer struct {
 	p *Program
+	x *exprLowerer
 }
 
 func annotFlags(d dsl.Decl) Flags {
@@ -115,7 +118,7 @@ func (l *lowerer) lowerStruct(d *dsl.StructDecl) (NodeID, error) {
 	p.Kids = append(p.Kids, kids...)
 	id := p.addNode(Node{
 		Op: OpStruct, Flags: annotFlags(d), Name: d.Name,
-		A: start, B: int32(len(kids)), C: p.addExpr(d.Where), D: int32(len(names)),
+		A: start, B: int32(len(kids)), C: l.addExpr(d.Where), D: int32(len(names)),
 	})
 	p.FieldNames[id] = names[:len(names):len(names)]
 	return id, nil
@@ -129,7 +132,7 @@ func (l *lowerer) lowerField(f *dsl.Field) (NodeID, error) {
 	}
 	return p.addNode(Node{
 		Op: OpField, Name: f.Name,
-		A: child, B: p.addExpr(f.Constraint), C: p.addRef(f.Type), D: None,
+		A: child, B: l.addExpr(f.Constraint), C: p.addRef(f.Type), D: None,
 	}), nil
 }
 
@@ -149,7 +152,7 @@ func (l *lowerer) lowerUnion(d *dsl.UnionDecl) (NodeID, error) {
 			} else {
 				vals := make(CaseList, 0, len(c.Values))
 				for _, vx := range c.Values {
-					vals = append(vals, p.addExpr(vx))
+					vals = append(vals, l.addExpr(vx))
 				}
 				p.Cases = append(p.Cases, vals)
 				p.Nodes[kid].D = int32(len(p.Cases) - 1)
@@ -160,7 +163,7 @@ func (l *lowerer) lowerUnion(d *dsl.UnionDecl) (NodeID, error) {
 		p.Kids = append(p.Kids, kids...)
 		return p.addNode(Node{
 			Op: OpSwitch, Flags: annotFlags(d), Name: d.Name,
-			A: start, B: int32(len(kids)), C: p.addExpr(d.Switch.Selector), D: defaultKid,
+			A: start, B: int32(len(kids)), C: l.addExpr(d.Switch.Selector), D: defaultKid,
 		}), nil
 	}
 	kids := make([]NodeID, 0, len(d.Branches))
@@ -187,17 +190,17 @@ func (l *lowerer) lowerArray(d *dsl.ArrayDecl) (NodeID, error) {
 	}
 	spec := ArraySpec{
 		Sep: None, Term: None,
-		LastPred:  p.addExpr(d.LastPred),
-		EndedPred: p.addExpr(d.EndedPred),
-		Where:     p.addExpr(d.Where),
+		LastPred:  l.addExpr(d.LastPred),
+		EndedPred: l.addExpr(d.EndedPred),
+		Where:     l.addExpr(d.Where),
 	}
 	if d.MinSize != nil {
 		spec.HasMin = true
-		spec.MinSize = p.constArg(d.MinSize)
+		spec.MinSize = l.constArg(d.MinSize)
 	}
 	if d.MaxSize != nil {
 		spec.HasMax = true
-		spec.MaxSize = p.constArg(d.MaxSize)
+		spec.MaxSize = l.constArg(d.MaxSize)
 	}
 	if d.Sep != nil {
 		if spec.Sep, err = l.lowerLit(d.Sep); err != nil {
@@ -245,7 +248,7 @@ func (l *lowerer) lowerTypedef(d *dsl.TypedefDecl) (NodeID, error) {
 	}
 	return p.addNode(Node{
 		Op: OpTypedef, Flags: annotFlags(d), Name: d.VarName,
-		A: child, B: p.addExpr(d.Constraint), C: p.addRef(d.Base), D: None,
+		A: child, B: l.addExpr(d.Constraint), C: p.addRef(d.Base), D: None,
 	}), nil
 }
 
@@ -275,7 +278,7 @@ func (l *lowerer) lowerRef(tr dsl.TypeRef) (NodeID, error) {
 	if len(tr.Args) > 0 {
 		list := make(CaseList, 0, len(tr.Args))
 		for _, a := range tr.Args {
-			list = append(list, p.addExpr(a))
+			list = append(list, l.addExpr(a))
 		}
 		p.Cases = append(p.Cases, list)
 		args = int32(len(p.Cases) - 1)
@@ -296,7 +299,7 @@ func (l *lowerer) lowerBase(b *sema.BaseInfo, tr dsl.TypeRef) (NodeID, error) {
 			return
 		}
 		spec.HasWidth = true
-		spec.Width = p.constArg(tr.Args[i])
+		spec.Width = l.constArg(tr.Args[i])
 	}
 	term := func(i int) {
 		if i >= len(tr.Args) {
@@ -313,7 +316,7 @@ func (l *lowerer) lowerBase(b *sema.BaseInfo, tr dsl.TypeRef) (NodeID, error) {
 			// Left to runtime: the interpreter rejects non-char
 			// terminator values, so only chars may fold.
 			spec.TermChar = true
-			spec.Term = Arg{Expr: p.addExpr(tr.Args[i])}
+			spec.Term = Arg{Expr: l.addExpr(tr.Args[i])}
 		}
 	}
 

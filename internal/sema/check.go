@@ -24,6 +24,19 @@ type Desc struct {
 	// Regexps holds the compiled form of every regular-expression literal
 	// in the description, keyed by source text.
 	Regexps map[string]*padsrt.Regexp
+
+	// What the expression compiler needs (internal/ir, "Compiled
+	// expressions" in docs/IR.md): ExprTypes is the static type of every
+	// checked expression; Idents resolves every identifier to its binding;
+	// Locals is the frame slot a function's var or assignment statement
+	// writes; Quants is the frame slot of each quantifier's variable; and
+	// Frames is the frame size of each type declaration and function (see
+	// Binding for the frame layout).
+	ExprTypes map[dsl.Expr]*Type
+	Idents    map[*dsl.IdentExpr]Binding
+	Locals    map[dsl.Stmt]int
+	Quants    map[*dsl.ForallExpr]int
+	Frames    map[dsl.Decl]int
 }
 
 // Check performs semantic analysis. The returned Desc is usable when the
@@ -37,6 +50,11 @@ func Check(prog *dsl.Program) (*Desc, []*dsl.Error) {
 			EnumOf:    make(map[string]*dsl.EnumDecl),
 			EnumIndex: make(map[string]int),
 			Regexps:   make(map[string]*padsrt.Regexp),
+			ExprTypes: make(map[dsl.Expr]*Type),
+			Idents:    make(map[*dsl.IdentExpr]Binding),
+			Locals:    make(map[dsl.Stmt]int),
+			Quants:    make(map[*dsl.ForallExpr]int),
+			Frames:    make(map[dsl.Decl]int),
 		},
 		resolving: make(map[string]bool),
 	}
@@ -54,29 +72,52 @@ type checker struct {
 	// so a self-reference reports "undeclared type" there. The guard keeps
 	// later resolutions of the registered name from recursing forever.
 	resolving map[string]bool
+	// frame is the next free slot of the frame being checked.
+	frame int
 }
 
 func (c *checker) errorf(pos dsl.Pos, format string, args ...interface{}) {
 	c.errs = append(c.errs, dsl.Errorf(pos, format, args...))
 }
 
-// env is a lexical scope of expression variables.
+// env is a lexical scope of expression variables. Its chain has the
+// shadowing order of the run-time scopes exactly: a name resolves to the
+// innermost binding in scope at the point it is read.
 type env struct {
-	vars   map[string]*Type
+	vars   map[string]bound
 	parent *env
 }
 
-func newEnv(parent *env) *env { return &env{vars: make(map[string]*Type), parent: parent} }
+// bound is one variable: its type and where it lives.
+type bound struct {
+	t *Type
+	b Binding
+}
 
-func (e *env) bind(name string, t *Type) { e.vars[name] = t }
+func newEnv(parent *env) *env { return &env{vars: make(map[string]bound), parent: parent} }
+
+func (e *env) bind(name string, t *Type, b Binding) { e.vars[name] = bound{t, b} }
 
 func (e *env) lookup(name string) *Type {
-	for s := e; s != nil; s = s.parent {
-		if t, ok := s.vars[name]; ok {
-			return t
-		}
+	if v, ok := e.find(name); ok {
+		return v.t
 	}
 	return nil
+}
+
+func (e *env) find(name string) (bound, bool) {
+	for s := e; s != nil; s = s.parent {
+		if v, ok := s.vars[name]; ok {
+			return v, true
+		}
+	}
+	return bound{}, false
+}
+
+// slot allocates the next free slot of the frame being checked.
+func (c *checker) slot() int {
+	c.frame++
+	return c.frame - 1
 }
 
 func (c *checker) run() {
@@ -146,12 +187,15 @@ func annotOf(d dsl.Decl) dsl.Annot {
 // Annot exposes a declaration's Precord/Psource annotations.
 func Annot(d dsl.Decl) dsl.Annot { return annotOf(d) }
 
-// paramEnv builds the scope holding a declaration's value parameters.
-func (c *checker) paramEnv(params []dsl.Param) *env {
+// paramEnv builds the scope holding a declaration's value parameters, in
+// slots 0..len(params)-1, and starts a frame whose first free slot follows
+// them and the extra slots the declaration reserves.
+func (c *checker) paramEnv(params []dsl.Param, extra int) *env {
 	e := newEnv(nil)
-	for _, p := range params {
-		e.bind(p.Name, c.namedType(p.Type, p.Pos))
+	for i, p := range params {
+		e.bind(p.Name, c.namedType(p.Type, p.Pos), Binding{Kind: BindParam, Slot: i})
 	}
+	c.frame = len(params) + extra
 	return e
 }
 
@@ -301,7 +345,14 @@ func (c *checker) checkLiteral(l *dsl.Literal) {
 func (c *checker) checkTypeDecl(d dsl.Decl) {
 	switch d := d.(type) {
 	case *dsl.StructDecl:
-		e := c.paramEnv(d.Params)
+		nfields := 0
+		for _, it := range d.Items {
+			if it.Field != nil {
+				nfields++
+			}
+		}
+		e := c.paramEnv(d.Params, nfields)
+		slot := len(d.Params)
 		for _, it := range d.Items {
 			if it.Lit != nil {
 				c.checkLiteral(it.Lit)
@@ -309,21 +360,23 @@ func (c *checker) checkTypeDecl(d dsl.Decl) {
 			}
 			f := it.Field
 			ft := c.refType(f.Type, e)
+			fb := Binding{Kind: BindField, Slot: slot}
+			slot++
 			if f.Constraint != nil {
 				fe := newEnv(e)
-				fe.bind(f.Name, ft)
+				fe.bind(f.Name, ft, fb)
 				c.checkBool(f.Constraint, fe, "field constraint")
 			}
 			if e.lookup(f.Name) != nil {
 				c.errorf(f.Pos, "field %s redeclared in %s", f.Name, d.Name)
 			}
-			e.bind(f.Name, ft)
+			e.bind(f.Name, ft, fb)
 		}
 		if d.Where != nil {
 			c.checkBool(d.Where, e, "Pwhere clause")
 		}
 	case *dsl.UnionDecl:
-		e := c.paramEnv(d.Params)
+		e := c.paramEnv(d.Params, 1)
 		if d.Switch != nil {
 			selT := c.checkExpr(d.Switch.Selector, e)
 			hasDefault := false
@@ -361,7 +414,11 @@ func (c *checker) checkTypeDecl(d dsl.Decl) {
 			c.errorf(d.Where.ExprPos(), "Pwhere is not supported on unions; constrain the branches instead")
 		}
 	case *dsl.ArrayDecl:
-		e := c.paramEnv(d.Params)
+		e := c.paramEnv(d.Params, 3)
+		p := len(d.Params)
+		elts := Binding{Kind: BindField, Slot: p}
+		length := Binding{Kind: BindLength, Slot: p + 1}
+		elt := Binding{Kind: BindField, Slot: p + 2}
 		elemT := c.refType(d.Elem, e)
 		if d.MinSize != nil {
 			c.checkNumeric(d.MinSize, e, "array size")
@@ -374,24 +431,25 @@ func (c *checker) checkTypeDecl(d dsl.Decl) {
 		arrT := &Type{Kind: KArray, Name: d.Name, Elem: elemT}
 		if d.LastPred != nil {
 			le := newEnv(e)
-			le.bind("elt", elemT)
-			le.bind("elts", arrT)
-			le.bind("length", &Type{Kind: KUint, Name: "Puint32"})
+			le.bind("elt", elemT, elt)
+			le.bind("elts", arrT, elts)
+			le.bind("length", &Type{Kind: KUint, Name: "Puint32"}, length)
 			c.checkBool(d.LastPred, le, "Plast predicate")
 		}
 		if d.EndedPred != nil {
 			le := newEnv(e)
-			le.bind("elts", arrT)
-			le.bind("length", &Type{Kind: KUint, Name: "Puint32"})
+			le.bind("elts", arrT, elts)
+			le.bind("length", &Type{Kind: KUint, Name: "Puint32"}, length)
 			c.checkBool(d.EndedPred, le, "Pended predicate")
 		}
 		if d.Where != nil {
 			we := newEnv(e)
-			we.bind("elts", arrT)
-			we.bind("length", &Type{Kind: KUint, Name: "Puint32"})
+			we.bind("elts", arrT, elts)
+			we.bind("length", &Type{Kind: KUint, Name: "Puint32"}, length)
 			c.checkBool(d.Where, we, "Pwhere clause")
 		}
 	case *dsl.EnumDecl:
+		c.frame = 0
 		if len(d.Members) == 0 {
 			c.errorf(d.Pos, "enum %s has no members", d.Name)
 		}
@@ -404,32 +462,34 @@ func (c *checker) checkTypeDecl(d dsl.Decl) {
 			c.desc.EnumIndex[m.Name] = i
 		}
 	case *dsl.TypedefDecl:
-		e := c.paramEnv(d.Params)
+		e := c.paramEnv(d.Params, 1)
 		baseT := c.refType(d.Base, e)
 		if d.Constraint != nil {
 			ce := newEnv(e)
-			ce.bind(d.VarName, baseT)
+			ce.bind(d.VarName, baseT, Binding{Kind: BindField, Slot: len(d.Params)})
 			c.checkBool(d.Constraint, ce, "typedef constraint")
 		}
 	}
+	c.desc.Frames[d] = c.frame
 }
 
 func (c *checker) checkUnionBranch(d *dsl.UnionDecl, b *dsl.Field, e *env) {
 	bt := c.refType(b.Type, e)
 	if b.Constraint != nil {
 		be := newEnv(e)
-		be.bind(b.Name, bt)
+		be.bind(b.Name, bt, Binding{Kind: BindField, Slot: len(d.Params)})
 		c.checkBool(b.Constraint, be, "branch constraint")
 	}
 }
 
 func (c *checker) checkFunc(d *dsl.FuncDecl) {
-	e := c.paramEnv(d.Params)
+	e := c.paramEnv(d.Params, 0)
 	retT := c.namedType(d.RetType, d.Pos)
 	sawReturn := c.checkStmts(d.Body, e, retT)
 	if !sawReturn {
 		c.errorf(d.Pos, "function %s has no return statement", d.Name)
 	}
+	c.desc.Frames[d] = c.frame
 }
 
 func (c *checker) checkStmts(stmts []dsl.Stmt, e *env, retT *Type) bool {
@@ -442,12 +502,24 @@ func (c *checker) checkStmts(stmts []dsl.Stmt, e *env, retT *Type) bool {
 			if !looselyAssignable(t, it) {
 				c.errorf(s.Pos, "cannot initialize %s %s with %s", s.Type, s.Name, it)
 			}
-			e.bind(s.Name, t)
+			// A second declaration of a name in the same scope rebinds it
+			// in place, so it reuses the slot.
+			slot := 0
+			if v, ok := e.vars[s.Name]; ok {
+				slot = v.b.Slot
+			} else {
+				slot = c.slot()
+			}
+			c.desc.Locals[s] = slot
+			e.bind(s.Name, t, Binding{Kind: BindLocal, Slot: slot})
 		case *dsl.AssignStmt:
-			t := e.lookup(s.Name)
-			if t == nil {
+			v, ok := e.find(s.Name)
+			t := v.t
+			if !ok {
 				c.errorf(s.Pos, "assignment to undeclared variable %s", s.Name)
 				t = &Type{Kind: KInvalid}
+			} else {
+				c.desc.Locals[s] = v.b.Slot
 			}
 			vt := c.checkExpr(s.Val, e)
 			if !looselyAssignable(t, vt) {
@@ -495,7 +567,14 @@ var (
 	tBool    = &Type{Kind: KBool}
 )
 
+// checkExpr types x in scope e and records its type (Desc.ExprTypes).
 func (c *checker) checkExpr(x dsl.Expr, e *env) *Type {
+	t := c.exprType(x, e)
+	c.desc.ExprTypes[x] = t
+	return t
+}
+
+func (c *checker) exprType(x dsl.Expr, e *env) *Type {
 	switch x := x.(type) {
 	case *dsl.IntExpr:
 		return &Type{Kind: KInt}
@@ -513,10 +592,12 @@ func (c *checker) checkExpr(x dsl.Expr, e *env) *Type {
 	case *dsl.EORExpr, *dsl.EOFExpr:
 		return &Type{Kind: KChar}
 	case *dsl.IdentExpr:
-		if t := e.lookup(x.Name); t != nil {
-			return t
+		if v, ok := e.find(x.Name); ok {
+			c.desc.Idents[x] = v.b
+			return v.t
 		}
 		if en, ok := c.desc.EnumOf[x.Name]; ok {
+			c.desc.Idents[x] = Binding{Kind: BindEnum}
 			return &Type{Kind: KEnum, Name: en.Name}
 		}
 		c.errorf(x.Pos, "undeclared identifier %s", x.Name)
@@ -612,8 +693,10 @@ func (c *checker) checkExpr(x dsl.Expr, e *env) *Type {
 	case *dsl.ForallExpr:
 		c.checkNumeric(x.Lo, e, "quantifier bound")
 		c.checkNumeric(x.Hi, e, "quantifier bound")
+		slot := c.slot()
+		c.desc.Quants[x] = slot
 		be := newEnv(e)
-		be.bind(x.Var, &Type{Kind: KInt})
+		be.bind(x.Var, &Type{Kind: KInt}, Binding{Kind: BindForall, Slot: slot})
 		c.checkBool(x.Body, be, "quantifier body")
 		return tBool
 	}

@@ -199,3 +199,46 @@ func RegisterBase(b BaseInfo) *BaseInfo {
 	reg(b)
 	return old
 }
+
+// BindKind says what an identifier in an expression names.
+type BindKind uint8
+
+// Binding kinds. Parameters, locals, quantifier variables and the array
+// length hold computed expression values; the other bindings hold values
+// the parse produced.
+const (
+	// BindEnum: no variable of the name is in scope, so it is the
+	// enumeration constant of that name.
+	BindEnum BindKind = iota
+	// BindParam: a declaration's or function's parameter.
+	BindParam
+	// BindField: a parsed value — a struct field, the union branch or
+	// switch case being checked, a typedef's constraint variable, or an
+	// array's elts or elt.
+	BindField
+	// BindLength: the element count of an array's Plast, Pended or Pwhere.
+	BindLength
+	// BindForall: a Pforall/Pexists variable.
+	BindForall
+	// BindLocal: a variable declared in a function body.
+	BindLocal
+)
+
+// Binding resolves one identifier to the frame slot that holds it.
+//
+// Every declaration and function that evaluates expressions runs in a frame
+// of slots. Its parameters come first, in order; then
+//
+//   - a Pstruct has one slot per field, in field order;
+//   - a Punion, switched or not, has one slot for the branch being checked;
+//   - a Ptypedef has one slot for its constraint variable;
+//   - a Parray has three slots: elts, length and elt;
+//
+// and after those come one slot per quantifier variable and, in functions,
+// one per local. A local declared again in the same scope reuses its slot;
+// one declared in an inner if-block shadows the outer one in a slot of its
+// own. Desc.Frames holds each frame's size.
+type Binding struct {
+	Kind BindKind
+	Slot int
+}
