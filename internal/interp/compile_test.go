@@ -245,4 +245,3 @@ func loadDesc(tb testing.TB, name string) *sema.Desc {
 	}
 	return desc
 }
-
