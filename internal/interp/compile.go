@@ -85,9 +85,10 @@ type (
 
 // code is a program's compiled expressions, shared by an Interp and its
 // clones: for each root ExprID its predicate form (an error or a non-bool
-// is false), its value form, and its integer form (the evaluator's toInt).
+// is false, as in expr.EvalPred), its value form, and its integer form
+// (the evaluator's toInt).
 type code struct {
-	bools []boolFn
+	preds []func(*frames) bool
 	vals  []dynFn
 	ints  []intFn
 	slots int // initial frame stack size
@@ -108,7 +109,7 @@ type compiler struct {
 func compileProgram(p *ir.Program) *code {
 	c := &compiler{p: p, funcs: make([]*cfunc, len(p.Funcs))}
 	cd := &code{
-		bools: make([]boolFn, len(p.Exprs)),
+		preds: make([]func(*frames) bool, len(p.Exprs)),
 		vals:  make([]dynFn, len(p.Exprs)),
 		ints:  make([]intFn, len(p.Exprs)),
 	}
@@ -124,7 +125,11 @@ func compileProgram(p *ir.Program) *code {
 	}
 	for id := range p.Exprs {
 		if p.Exprs[id].Root {
-			cd.bools[id] = c.boolv(ir.ExprID(id))
+			b := c.boolv(ir.ExprID(id))
+			cd.preds[id] = func(f *frames) bool {
+				v, ok := b(f)
+				return v && ok
+			}
 			cd.vals[id] = c.dyn(ir.ExprID(id))
 			cd.ints[id] = c.intv(ir.ExprID(id))
 		}
@@ -361,7 +366,8 @@ func (c *compiler) compound(id ir.ExprID) rawFn {
 }
 
 // boolv compiles a term as a boolean: evaluation errors and non-boolean
-// values fail, as predicates, logical operands and conditions do.
+// values fail, as predicates, logical operands and conditions do. The
+// value of a failed evaluation is unspecified.
 func (c *compiler) boolv(id ir.ExprID) boolFn {
 	e := &c.p.Exprs[id]
 	switch e.Op {

@@ -95,7 +95,7 @@ func newDiffRig(tb testing.TB, whereSrc string) *diffRig {
 
 // compiled evaluates the Pwhere root with the compiled code in a window
 // holding the parsed fields.
-func (r *diffRig) compiled() (d dyn, ok bool, b, bok bool, n int64, nok bool) {
+func (r *diffRig) compiled() (d dyn, ok bool, pred bool, n int64, nok bool) {
 	f := &r.in.fr
 	f.base, f.top, f.depth = 0, len(r.st.Fields), 0
 	f.reserve(64)
@@ -103,18 +103,20 @@ func (r *diffRig) compiled() (d dyn, ok bool, b, bok bool, n int64, nok bool) {
 		f.setRef(int32(i), fv)
 	}
 	d, ok = r.in.code.vals[r.where](f)
-	b, bok = r.in.code.bools[r.where](f)
+	pred = r.in.code.preds[r.where](f)
 	n, nok = r.in.code.ints[r.where](f)
 	return
 }
 
 // oracle evaluates the same expression with the reference evaluator.
-func (r *diffRig) oracle() (expr.V, error) {
+func (r *diffRig) oracle() (expr.V, error) { return expr.New(r.in.Desc).Eval(r.src, r.env()) }
+
+func (r *diffRig) env() *expr.Env {
 	env := expr.NewEnv(nil)
 	for i, fv := range r.st.Fields {
 		env.Bind(r.st.Names[i], expr.FromValue(fv))
 	}
-	return expr.New(r.in.Desc).Eval(r.src, env)
+	return env
 }
 
 func sameV(a, b expr.V) bool {
@@ -127,7 +129,7 @@ func sameV(a, b expr.V) bool {
 func (r *diffRig) check(t *testing.T, src string) {
 	t.Helper()
 	want, err := r.oracle()
-	d, ok, b, bok, n, nok := r.compiled()
+	d, ok, pred, n, nok := r.compiled()
 	if ok != (err == nil) {
 		t.Errorf("%s: compiled ok=%v, evaluator error %v", src, ok, err)
 		return
@@ -135,9 +137,8 @@ func (r *diffRig) check(t *testing.T, src string) {
 	if ok && !sameV(toV(d), want) {
 		t.Errorf("%s: compiled %+v, evaluator %+v", src, toV(d), want)
 	}
-	wb := err == nil && want.K == sema.KBool
-	if bok != wb || (bok && b != want.B) {
-		t.Errorf("%s: compiled predicate %v/%v, evaluator %+v/%v", src, b, bok, want, err)
+	if wp, _ := expr.New(r.in.Desc).EvalPred(r.src, r.env()); pred != wp {
+		t.Errorf("%s: compiled predicate %v, evaluator %v (%+v, %v)", src, pred, wp, want, err)
 	}
 	wn, werr := int64(0), err
 	if err == nil {
@@ -220,7 +221,7 @@ func TestCompiledForallAllocs(t *testing.T) {
 	f.setRef(0, events)
 	f.setInt(1, int64(len(events.Elems)))
 	allocs := testing.AllocsPerRun(1000, func() {
-		if ok, valid := in.code.bools[where](f); !ok || !valid {
+		if !in.code.preds[where](f) {
 			t.Fatal("sorted events fail the check")
 		}
 	})

@@ -250,7 +250,7 @@ func (in *Interp) execStruct(id ir.NodeID, s *padsrt.Source, mask *padsrt.MaskNo
 			slot++
 		}
 		if k.B != ir.None && fmask.BaseMask().DoCheck() && fv.PD().Nerr == 0 {
-			if ok, _ := in.code.bools[k.B](&in.fr); !ok {
+			if !in.code.preds[k.B](&in.fr) {
 				fv.PD().SetError(padsrt.ErrConstraint, padsrt.Loc{Begin: s.Pos(), End: s.Pos()})
 			}
 		}
@@ -272,7 +272,7 @@ func (in *Interp) execStruct(id ir.NodeID, s *padsrt.Source, mask *padsrt.MaskNo
 		st.Fields = append(st.Fields, fv)
 	}
 	if n.C != ir.None && mask.CompoundMask().DoCheck() {
-		if ok, _ := in.code.bools[n.C](&in.fr); !ok {
+		if !in.code.preds[n.C](&in.fr) {
 			pd.SetError(padsrt.ErrWhere, padsrt.Loc{Begin: s.Pos(), End: s.Pos()})
 		}
 	}
@@ -290,7 +290,7 @@ func (in *Interp) execBranch(k *ir.Node, s *padsrt.Source, mask *padsrt.MaskNode
 	bv := in.execRef(k.A, s, fmask)
 	if k.B != ir.None && bv.PD().Nerr == 0 && fmask.BaseMask().DoCheck() {
 		in.fr.setRef(own, bv)
-		if ok, _ := in.code.bools[k.B](&in.fr); !ok {
+		if !in.code.preds[k.B](&in.fr) {
 			bv.PD().SetError(padsrt.ErrConstraint, padsrt.Loc{Begin: s.Pos(), End: s.Pos()})
 		}
 	}
@@ -478,7 +478,7 @@ func (in *Interp) execArray(n *ir.Node, s *padsrt.Source, mask *padsrt.MaskNode,
 		}
 		if spec.EndedPred != ir.None {
 			bindSeq()
-			if ok, _ := in.code.bools[spec.EndedPred](f); ok {
+			if in.code.preds[spec.EndedPred](f) {
 				break
 			}
 		}
@@ -549,7 +549,7 @@ func (in *Interp) execArray(n *ir.Node, s *padsrt.Source, mask *padsrt.MaskNode,
 			if spec.LastPred != ir.None {
 				bindSeq()
 				f.setRef(own+2, ev)
-				if ok, _ := in.code.bools[spec.LastPred](f); ok {
+				if in.code.preds[spec.LastPred](f) {
 					break
 				}
 			}
@@ -562,7 +562,7 @@ done:
 	}
 	if spec.Where != ir.None && mask.CompoundMask().DoCheck() {
 		bindSeq()
-		if ok, _ := in.code.bools[spec.Where](f); !ok {
+		if !in.code.preds[spec.Where](f) {
 			pd.SetError(padsrt.ErrWhere, s.LocFrom(begin))
 		}
 	}
@@ -595,7 +595,7 @@ func (in *Interp) execTypedef(n *ir.Node, s *padsrt.Source, mask *padsrt.MaskNod
 	v := in.execRef(n.A, s, mask)
 	if n.B != ir.None && mask.BaseMask().DoCheck() && v.PD().Nerr == 0 {
 		in.fr.setRef(own, v)
-		if ok, _ := in.code.bools[n.B](&in.fr); !ok {
+		if !in.code.preds[n.B](&in.fr) {
 			v.PD().SetError(padsrt.ErrConstraint, padsrt.Loc{Begin: s.Pos(), End: s.Pos()})
 		}
 	}

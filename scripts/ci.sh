@@ -74,10 +74,13 @@ grep -Eq '^[a-z_][a-z_0-9]*(;[a-z_0-9]+)+ [0-9]+$' "$tmp/folded.txt"
 go test -run 'TestDisabledProfilingNoAllocs' -count=1 ./internal/interp >/dev/null
 
 # Value-allocation pins (docs/IR.md): the VM's allocations per record, the
-# flat live heap of its scans, the accumulator's allocation-free Add and the
+# flat live heap of its scans, the compiled Pforall check over a parsed
+# Sirius eventSeq (no allocation), the mask lookups of a parse under a
+# uniform mask (none either), the accumulator's allocation-free Add and the
 # delimited formatter's allocation-free Append/WriteRecord. They run here
 # without -race, whose runtime changes allocation behaviour.
-go test -run 'TestVMAllocsPerRecord|TestVMLiveHeapFlat' -count=1 ./internal/interp >/dev/null
+go test -run 'TestVMAllocsPerRecord|TestVMLiveHeapFlat|TestCompiledForallAllocs' -count=1 ./internal/interp >/dev/null
+go test -run 'TestMaskLookupAllocs' -count=1 ./internal/padsrt >/dev/null
 go test -run 'TestAddAllocs|TestAppendAllocs' -count=1 ./internal/accum ./internal/fmtconv >/dev/null
 
 # Robustness smoke test (docs/ROBUSTNESS.md): the fuzz targets must survive
@@ -85,7 +88,9 @@ go test -run 'TestAddAllocs|TestAppendAllocs' -count=1 ./internal/accum ./intern
 # with a known error population.
 go test -fuzz=FuzzParseDescription -fuzztime=5s -run='^$' ./internal/sema >/dev/null
 go test -fuzz=FuzzInterpParse -fuzztime=5s -run='^$' ./internal/interp >/dev/null
-go test -fuzz=FuzzVMAgainstInterp -fuzztime=5s -run='^$' ./internal/interp >/dev/null
+# The VM against the reference walk runs longest: it also pins the compiled
+# expressions against the tree evaluator on random descriptions.
+go test -fuzz=FuzzVMAgainstInterp -fuzztime=15s -run='^$' ./internal/interp >/dev/null
 # The untrusted inputs of out-of-core jobs and the daemon: manifests read
 # back after a crash or named by -resume, job-request bodies, and the
 # X-Pads-Fault header.
