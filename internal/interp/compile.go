@@ -890,15 +890,6 @@ func fromV(v expr.V) dyn {
 	return d
 }
 
-// toV converts back, for the differential tests (EnumType is not kept).
-func toV(d dyn) expr.V {
-	v := expr.V{K: d.k, I: d.i, U: d.u, F: d.f, S: d.s, Ref: d.ref}
-	if d.k == sema.KBool {
-		v.I, v.B = 0, d.i != 0
-	}
-	return v
-}
-
 func toInt(v dyn) (int64, bool) {
 	switch v.k {
 	case sema.KInt, sema.KChar, sema.KDate, sema.KEnum:
@@ -913,8 +904,6 @@ func toInt(v dyn) (int64, bool) {
 	}
 	return 0, false
 }
-
-func isNumeric(v dyn) bool { return v.k.Numeric() }
 
 func asFloat(v dyn) float64 {
 	switch v.k {
@@ -954,7 +943,7 @@ func compare(l, r dyn) (int64, bool) {
 	if l.k == sema.KBool && r.k == sema.KBool {
 		return cmp3(l.i, r.i), true
 	}
-	if !isNumeric(l) || !isNumeric(r) {
+	if !l.k.Numeric() || !r.k.Numeric() {
 		return 0, false
 	}
 	if l.k == sema.KFloat || r.k == sema.KFloat {
@@ -983,7 +972,7 @@ func equal(a, b dyn) bool {
 
 // arith is the evaluator's arithmetic on dynamic operands.
 func arith(op dsl.Kind, l, r dyn) (dyn, bool) {
-	if !isNumeric(l) || !isNumeric(r) {
+	if !l.k.Numeric() || !r.k.Numeric() {
 		return dyn{}, false
 	}
 	if l.k == sema.KFloat || r.k == sema.KFloat {

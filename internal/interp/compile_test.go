@@ -119,6 +119,15 @@ func (r *diffRig) env() *expr.Env {
 	return env
 }
 
+// toV converts a compiled value for comparison (EnumType is not kept).
+func toV(d dyn) expr.V {
+	v := expr.V{K: d.k, I: d.i, U: d.u, F: d.f, S: d.s, Ref: d.ref}
+	if d.k == sema.KBool {
+		v.I, v.B = 0, d.i != 0
+	}
+	return v
+}
+
 func sameV(a, b expr.V) bool {
 	if a.K != b.K || a.B != b.B || a.I != b.I || a.U != b.U || a.S != b.S || a.Ref != b.Ref {
 		return false

@@ -26,7 +26,7 @@ const (
 	XSlot                 // the frame slot Slot, bound as Bind (Name is the identifier)
 	XUndef                // an identifier with no binding and no enum constant: always an error
 	XCall                 // a call of function Func with Args; Func None: an unknown function
-	XField                // X.Name: Index is the field's index in X's static struct (Union: the branch's)
+	XField                // X.Name: Index is the field's index in X's static struct, or the branch's in its union
 	XIndex                // X[Y]
 	XNot                  // !X
 	XNeg                  // -X
@@ -61,7 +61,6 @@ type Expr struct {
 	Func    int32
 	Name    string
 	Index   int32
-	Union   bool
 	Exists  bool
 	Val     expr.V
 }
@@ -206,7 +205,7 @@ func (x *exprLowerer) lower(e dsl.Expr) ExprID {
 		foldable = false
 		t.Op, t.Name, t.X = XField, e.Field, x.lower(e.X)
 		recv := &x.p.Exprs[t.X]
-		t.Index, t.Union = x.fieldIndex(recv.Type, e.Field)
+		t.Index = x.fieldIndex(recv.Type, e.Field)
 		if recv.Exact {
 			t.Exact = true
 			t.Kind = leafKind(t.Type)
@@ -280,12 +279,12 @@ func (x *exprLowerer) lower(e dsl.Expr) ExprID {
 // fieldIndex finds field in the static type of a select's receiver: the
 // index among a struct's fields (literal items excluded), or the index of a
 // union branch or switch case. It is None when the type is not known.
-func (x *exprLowerer) fieldIndex(t *sema.Type, field string) (int32, bool) {
+func (x *exprLowerer) fieldIndex(t *sema.Type, field string) int32 {
 	for t != nil && (t.Kind == sema.KTypedef || t.Kind == sema.KOpt) {
 		t = t.Elem
 	}
 	if t == nil {
-		return None, false
+		return None
 	}
 	switch d := x.p.Desc.Types[t.Name].(type) {
 	case *dsl.StructDecl:
@@ -298,7 +297,7 @@ func (x *exprLowerer) fieldIndex(t *sema.Type, field string) (int32, bool) {
 				continue
 			}
 			if it.Field.Name == field {
-				return i, false
+				return i
 			}
 			i++
 		}
@@ -309,17 +308,17 @@ func (x *exprLowerer) fieldIndex(t *sema.Type, field string) (int32, bool) {
 		if d.Switch != nil {
 			for i := range d.Switch.Cases {
 				if d.Switch.Cases[i].Field.Name == field {
-					return int32(i), true
+					return int32(i)
 				}
 			}
 		}
 		for i := range d.Branches {
 			if d.Branches[i].Name == field {
-				return int32(i), true
+				return int32(i)
 			}
 		}
 	}
-	return None, false
+	return None
 }
 
 // leafKind is the kind of a parsed value of static type t when every such

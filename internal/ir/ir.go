@@ -77,8 +77,8 @@ const (
 	FSource
 	// FNeedEnv marks a declaration whose body evaluates expressions that
 	// can reference bindings (parameters, constraints, predicates,
-	// non-constant arguments). Declarations without it skip building the
-	// lexical environment entirely.
+	// non-constant arguments). The VM opens a frame window only for
+	// declarations with it and binds nothing in the others.
 	FNeedEnv
 	// FAtomic marks a node that consumes no input when its parse fails and
 	// carries no constraint, so speculative trials (Popt, union branches)
