@@ -35,7 +35,7 @@ const (
 // constant of the same name, as an unbound name does in the evaluator.
 const kUnset = sema.Kind(-1)
 
-// dyn is a value whose kind is known only at run time: expr.V in 56 bytes
+// dyn is a value whose kind is known only at run time: expr.V in 64 bytes
 // that go back in registers. A slot bound to a parsed value (sema.BindField)
 // holds it, unconverted, in ref.
 type dyn struct {
