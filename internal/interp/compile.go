@@ -149,17 +149,66 @@ func (c *compiler) isRaw(id ir.ExprID) bool {
 	return e.Op == ir.XField || e.Op == ir.XIndex || (e.Op == ir.XSlot && e.Bind == sema.BindField)
 }
 
-func failDyn(*frames) (dyn, bool)         { return dyn{}, false }
-func failBool(*frames) (bool, bool)       { return false, false }
-func failRaw(*frames) (value.Value, bool) { return nil, false }
+func fail[T any](*frames) (T, bool) {
+	var zero T
+	return zero, false
+}
+
+func constant[T any](v T, ok bool) func(*frames) (T, bool) {
+	return func(*frames) (T, bool) { return v, ok }
+}
+
+// apply compiles op over one operand; op runs only when it evaluated.
+func apply[A, R any](x func(*frames) (A, bool), op func(A) (R, bool)) func(*frames) (R, bool) {
+	return func(f *frames) (R, bool) {
+		a, ok := x(f)
+		if !ok {
+			var zero R
+			return zero, false
+		}
+		return op(a)
+	}
+}
+
+// both compiles op over two operands, evaluated left to right; op runs
+// only when both evaluated.
+func both[A, B, R any](l func(*frames) (A, bool), r func(*frames) (B, bool), op func(A, B) (R, bool)) func(*frames) (R, bool) {
+	return func(f *frames) (R, bool) {
+		a, ok := l(f)
+		if !ok {
+			var zero R
+			return zero, false
+		}
+		b, ok := r(f)
+		if !ok {
+			var zero R
+			return zero, false
+		}
+		return op(a, b)
+	}
+}
+
+// choose compiles a conditional.
+func choose[T any](cond boolFn, then, els func(*frames) (T, bool)) func(*frames) (T, bool) {
+	return func(f *frames) (T, bool) {
+		b, ok := cond(f)
+		if !ok {
+			var zero T
+			return zero, false
+		}
+		if b {
+			return then(f)
+		}
+		return els(f)
+	}
+}
 
 // dyn compiles the dynamic form of any term.
 func (c *compiler) dyn(id ir.ExprID) dynFn {
 	e := &c.p.Exprs[id]
 	switch e.Op {
 	case ir.XConst:
-		d := fromV(e.Val)
-		return func(*frames) (dyn, bool) { return d, true }
+		return constant(fromV(e.Val), true)
 	case ir.XSlot:
 		if e.Bind == sema.BindField {
 			break // a parsed value: below
@@ -176,73 +225,41 @@ func (c *compiler) dyn(id ir.ExprID) dynFn {
 	case ir.XCall:
 		return c.call(e)
 	case ir.XNot, ir.XForall:
-		return boolDyn(c.boolv(id))
+		return apply(c.boolv(id), boolDyn)
 	case ir.XBinary:
 		switch e.BinOp {
 		case dsl.ANDAND, dsl.OROR, dsl.EQ, dsl.NE, dsl.LT, dsl.LE, dsl.GT, dsl.GE:
-			return boolDyn(c.boolv(id))
+			return apply(c.boolv(id), boolDyn)
 		}
 		switch e.Kind {
 		case sema.KInt:
-			return intDyn(c.intv(id))
+			return apply(c.intv(id), intDyn)
 		case sema.KFloat:
-			return floatDyn(c.floatv(id))
+			return apply(c.floatv(id), floatDyn)
 		}
-		l, r, op := c.dyn(e.X), c.dyn(e.Y), e.BinOp
-		return func(f *frames) (dyn, bool) {
-			a, ok := l(f)
-			if !ok {
-				return dyn{}, false
-			}
-			b, ok := r(f)
-			if !ok {
-				return dyn{}, false
-			}
-			return arith(op, a, b)
-		}
+		op := e.BinOp
+		return both(c.dyn(e.X), c.dyn(e.Y), func(a, b dyn) (dyn, bool) { return arith(op, a, b) })
 	case ir.XNeg:
 		switch e.Kind {
 		case sema.KInt:
-			return intDyn(c.intv(id))
+			return apply(c.intv(id), intDyn)
 		case sema.KFloat:
-			return floatDyn(c.floatv(id))
+			return apply(c.floatv(id), floatDyn)
 		}
-		x := c.dyn(e.X)
-		return func(f *frames) (dyn, bool) {
-			v, ok := x(f)
-			if !ok {
-				return dyn{}, false
-			}
+		return apply(c.dyn(e.X), func(v dyn) (dyn, bool) {
 			if v.k == sema.KFloat {
 				return dyn{k: sema.KFloat, f: -v.f}, true
 			}
 			n, ok := toInt(v)
 			return dyn{k: sema.KInt, i: -n}, ok
-		}
+		})
 	case ir.XCond:
-		cond, then, els := c.boolv(e.X), c.dyn(e.Y), c.dyn(e.Z)
-		return func(f *frames) (dyn, bool) {
-			b, ok := cond(f)
-			if !ok {
-				return dyn{}, false
-			}
-			if b {
-				return then(f)
-			}
-			return els(f)
-		}
+		return choose(c.boolv(e.X), c.dyn(e.Y), c.dyn(e.Z))
 	}
 	if c.isRaw(id) {
-		raw := c.raw(id)
-		return func(f *frames) (dyn, bool) {
-			v, ok := raw(f)
-			if !ok {
-				return dyn{}, false
-			}
-			return fromValue(v), true
-		}
+		return apply(c.raw(id), func(v value.Value) (dyn, bool) { return fromValue(v), true })
 	}
-	return failDyn
+	return fail[dyn]
 }
 
 // enumConst is what an unbound name reads as: its enum constant, if any.
@@ -254,33 +271,17 @@ func (c *compiler) enumConst(name string) (dyn, bool) {
 	return dyn{}, false
 }
 
-func boolDyn(b boolFn) dynFn {
-	return func(f *frames) (dyn, bool) {
-		v, ok := b(f)
-		if !ok {
-			return dyn{}, false
-		}
-		d := dyn{k: sema.KBool}
-		if v {
-			d.i = 1
-		}
-		return d, true
+func boolDyn(b bool) (dyn, bool) {
+	d := dyn{k: sema.KBool}
+	if b {
+		d.i = 1
 	}
+	return d, true
 }
 
-func intDyn(n intFn) dynFn {
-	return func(f *frames) (dyn, bool) {
-		v, ok := n(f)
-		return dyn{k: sema.KInt, i: v}, ok
-	}
-}
+func intDyn(n int64) (dyn, bool) { return dyn{k: sema.KInt, i: n}, true }
 
-func floatDyn(x floatFn) dynFn {
-	return func(f *frames) (dyn, bool) {
-		v, ok := x(f)
-		return dyn{k: sema.KFloat, f: v}, ok
-	}
-}
+func floatDyn(x float64) (dyn, bool) { return dyn{k: sema.KFloat, f: x}, true }
 
 // raw compiles a term that yields a parsed value: a field, branch or
 // constraint-variable slot, a field select, or an index.
@@ -301,24 +302,25 @@ func (c *compiler) raw(id ir.ExprID) rawFn {
 			if !ok {
 				return nil, false
 			}
-			arr, ok := r.(*value.Array)
+			arr, ok := deref(r).(*value.Array)
 			if !ok || i < 0 || i >= int64(len(arr.Elems)) {
 				return nil, false
 			}
 			return arr.Elems[i], true
 		}
 	case ir.XField:
-		recv, name, j := c.compound(e.X), e.Name, int(e.Index)
+		// The lowered index is right for a value of the receiver's static
+		// type, which an exact receiver's value always is; anything else
+		// is looked up by name.
+		recv, name, j, exact := c.compound(e.X), e.Name, int(e.Index), c.p.Exprs[e.X].Exact
 		return func(f *frames) (value.Value, bool) {
 			r, ok := recv(f)
 			if !ok {
 				return nil, false
 			}
-			switch r := r.(type) {
+			switch r := deref(r).(type) {
 			case *value.Struct:
-				// The lowered index is right whenever the value is of the
-				// receiver's static type; anything else looks the name up.
-				if j >= 0 && j < len(r.Names) && j < len(r.Fields) && r.Names[j] == name {
+				if j >= 0 && j < len(r.Fields) && (exact || j < len(r.Names) && r.Names[j] == name) {
 					return r.Fields[j], true
 				}
 				if v := r.Field(name); v != nil {
@@ -332,36 +334,31 @@ func (c *compiler) raw(id ir.ExprID) rawFn {
 			return nil, false
 		}
 	}
-	return failRaw
+	return fail[value.Value]
 }
 
-// compound compiles a select's or index's receiver: the compound value a
-// parsed value reads as (options unwrapped, an absent one nil), or the
-// compound a dynamic value refers to.
+// compound compiles a select's or index's receiver: a parsed value, which
+// the select or index reads through deref, or the compound a dynamic value
+// refers to.
 func (c *compiler) compound(id ir.ExprID) rawFn {
 	if c.isRaw(id) {
-		raw := c.raw(id)
-		return func(f *frames) (value.Value, bool) {
-			v, ok := raw(f)
-			if !ok {
-				return nil, false
-			}
-			for {
-				o, isOpt := v.(*value.Opt)
-				if !isOpt {
-					return v, true
-				}
-				if !o.Present {
-					return nil, true
-				}
-				v = o.Val
-			}
-		}
+		return c.raw(id)
 	}
-	d := c.dyn(id)
-	return func(f *frames) (value.Value, bool) {
-		v, ok := d(f)
-		return v.ref, ok
+	return apply(c.dyn(id), func(v dyn) (value.Value, bool) { return v.ref, true })
+}
+
+// deref is the compound a parsed value reads as: options unwrapped, an
+// absent one nil.
+func deref(v value.Value) value.Value {
+	for {
+		o, isOpt := v.(*value.Opt)
+		if !isOpt {
+			return v
+		}
+		if !o.Present {
+			return nil
+		}
+		v = o.Val
 	}
 }
 
@@ -372,21 +369,13 @@ func (c *compiler) boolv(id ir.ExprID) boolFn {
 	e := &c.p.Exprs[id]
 	switch e.Op {
 	case ir.XConst:
-		if e.Val.K != sema.KBool {
-			return failBool
-		}
-		b := e.Val.B
-		return func(*frames) (bool, bool) { return b, true }
+		return constant(e.Val.B, e.Val.K == sema.KBool)
 	case ir.XNot:
-		x := c.boolv(e.X)
-		return func(f *frames) (bool, bool) {
-			b, ok := x(f)
-			return !b, ok
-		}
+		return apply(c.boolv(e.X), func(b bool) (bool, bool) { return !b, true })
 	case ir.XBinary:
-		switch e.BinOp {
+		switch op := e.BinOp; op {
 		case dsl.ANDAND, dsl.OROR:
-			l, r, and := c.boolv(e.X), c.boolv(e.Y), e.BinOp == dsl.ANDAND
+			l, r, and := c.boolv(e.X), c.boolv(e.Y), op == dsl.ANDAND
 			return func(f *frames) (bool, bool) {
 				a, ok := l(f)
 				if !ok {
@@ -398,12 +387,7 @@ func (c *compiler) boolv(id ir.ExprID) boolFn {
 				return r(f)
 			}
 		case dsl.EQ, dsl.NE, dsl.LT, dsl.LE, dsl.GT, dsl.GE:
-			cmp, op := c.compare(e), e.BinOp
-			return func(f *frames) (bool, bool) {
-				n, ok := cmp(f)
-				if !ok {
-					return false, false
-				}
+			return apply(c.compare(e), func(n int64) (bool, bool) {
 				switch op {
 				case dsl.EQ:
 					return n == 0, true
@@ -417,38 +401,24 @@ func (c *compiler) boolv(id ir.ExprID) boolFn {
 					return n > 0, true
 				}
 				return n >= 0, true
-			}
+			})
 		}
 	case ir.XCond:
-		cond, then, els := c.boolv(e.X), c.boolv(e.Y), c.boolv(e.Z)
-		return func(f *frames) (bool, bool) {
-			b, ok := cond(f)
-			if !ok {
-				return false, false
-			}
-			if b {
-				return then(f)
-			}
-			return els(f)
-		}
+		return choose(c.boolv(e.X), c.boolv(e.Y), c.boolv(e.Z))
 	case ir.XForall:
 		return c.forall(e)
 	}
-	d := c.dyn(id)
-	return func(f *frames) (bool, bool) {
-		v, ok := d(f)
-		return v.i != 0, ok && v.k == sema.KBool
-	}
+	return apply(c.dyn(id), func(v dyn) (bool, bool) { return v.i != 0, v.k == sema.KBool })
 }
 
-// forall compiles Pforall/Pexists. The variable's slot is rewritten whole
-// each step (the stack may have moved during the body).
+// forall compiles Pforall/Pexists. The variable's slot is indexed afresh
+// each step: a call in the body may have moved the stack.
 func (c *compiler) forall(e *ir.Expr) boolFn {
+	if e.Slot == ir.None {
+		return fail[bool]
+	}
 	lo, hi, body := c.intv(e.X), c.intv(e.Y), c.boolv(e.Z)
 	slot, exists := int(e.Slot), e.Exists
-	if e.Slot == ir.None {
-		return failBool
-	}
 	return func(f *frames) (bool, bool) {
 		l, ok := lo(f)
 		if !ok {
@@ -458,8 +428,9 @@ func (c *compiler) forall(e *ir.Expr) boolFn {
 		if !ok || h-l > maxQuantRange {
 			return false, false
 		}
+		f.slots[f.base+slot] = dyn{k: sema.KInt, i: l}
 		for i := l; i <= h; i++ {
-			f.slots[f.base+slot] = dyn{k: sema.KInt, i: i}
+			f.slots[f.base+slot].i = i
 			b, ok := body(f)
 			if !ok {
 				return false, false
@@ -478,72 +449,40 @@ func (c *compiler) compare(e *ir.Expr) intFn {
 	lk, rk := c.p.Exprs[e.X].Kind, c.p.Exprs[e.Y].Kind
 	switch {
 	case intFamily(lk) && intFamily(rk):
-		return cmpOf(c.intv(e.X), c.intv(e.Y), cmp3[int64])
+		return both(c.intv(e.X), c.intv(e.Y), cmp3[int64])
 	case uintFamily(lk) && uintFamily(rk):
 		// Values beyond int64 order above all others, so unsigned
 		// operands compare as plain uint64s.
-		return cmpOf(c.uintv(e.X), c.uintv(e.Y), cmp3[uint64])
+		return both(c.uintv(e.X), c.uintv(e.Y), cmp3[uint64])
 	case uintFamily(lk) && intFamily(rk):
-		return cmpOf(c.uintv(e.X), c.intv(e.Y), cmpUI)
+		return both(c.uintv(e.X), c.intv(e.Y), cmpUI)
 	case intFamily(lk) && uintFamily(rk):
-		return cmpOf(c.intv(e.X), c.uintv(e.Y), func(a int64, b uint64) int64 { return -cmpUI(b, a) })
-	case lk.Numeric() && rk.Numeric():
-		return cmpOf(c.floatv(e.X), c.floatv(e.Y), cmp3[float64])
-	case lk == sema.KString && rk == sema.KString:
-		return cmpOf(c.strv(e.X), c.strv(e.Y), cmp3[string])
-	case lk == sema.KBool && rk == sema.KBool:
-		return cmpOf(c.boolv(e.X), c.boolv(e.Y), func(a, b bool) int64 {
-			switch {
-			case a == b:
-				return 0
-			case !a:
-				return -1
-			}
-			return 1
+		return both(c.intv(e.X), c.uintv(e.Y), func(a int64, b uint64) (int64, bool) {
+			n, _ := cmpUI(b, a)
+			return -n, true
 		})
+	case lk.Numeric() && rk.Numeric():
+		return both(c.floatv(e.X), c.floatv(e.Y), cmp3[float64])
+	case lk == sema.KString && rk == sema.KString:
+		return both(c.strv(e.X), c.strv(e.Y), cmp3[string])
 	}
-	l, r := c.dyn(e.X), c.dyn(e.Y)
-	return func(f *frames) (int64, bool) {
-		a, ok := l(f)
-		if !ok {
-			return 0, false
-		}
-		b, ok := r(f)
-		if !ok {
-			return 0, false
-		}
-		return compare(a, b)
-	}
+	return both(c.dyn(e.X), c.dyn(e.Y), compare)
 }
 
-func cmpOf[A, B any](l func(*frames) (A, bool), r func(*frames) (B, bool), cmp func(A, B) int64) intFn {
-	return func(f *frames) (int64, bool) {
-		a, ok := l(f)
-		if !ok {
-			return 0, false
-		}
-		b, ok := r(f)
-		if !ok {
-			return 0, false
-		}
-		return cmp(a, b), true
-	}
-}
-
-func cmp3[T int64 | uint64 | float64 | string](a, b T) int64 {
+func cmp3[T int64 | uint64 | float64 | string](a, b T) (int64, bool) {
 	switch {
 	case a < b:
-		return -1
+		return -1, true
 	case a > b:
-		return 1
+		return 1, true
 	}
-	return 0
+	return 0, true
 }
 
 // cmpUI compares an unsigned value with a signed one.
-func cmpUI(a uint64, b int64) int64 {
+func cmpUI(a uint64, b int64) (int64, bool) {
 	if a > math.MaxInt64 {
-		return 1
+		return 1, true
 	}
 	return cmp3(int64(a), b)
 }
@@ -555,56 +494,25 @@ func (c *compiler) intv(id ir.ExprID) intFn {
 	e := &c.p.Exprs[id]
 	switch e.Op {
 	case ir.XConst:
-		n, ok := toInt(fromV(e.Val))
-		return func(*frames) (int64, bool) { return n, ok }
+		return constant(toInt(fromV(e.Val)))
 	case ir.XSlot:
 		if e.Bind == sema.BindForall || e.Bind == sema.BindLength {
 			slot := int(e.Slot)
 			return func(f *frames) (int64, bool) { return f.slots[f.base+slot].i, true }
 		}
 	case ir.XBinary:
-		op := e.BinOp
-		switch e.Kind {
+		switch op := e.BinOp; e.Kind {
 		case sema.KInt:
-			l, r := c.intv(e.X), c.intv(e.Y)
-			return func(f *frames) (int64, bool) {
-				a, ok := l(f)
-				if !ok {
-					return 0, false
-				}
-				b, ok := r(f)
-				if !ok {
-					return 0, false
-				}
-				return intArith(op, a, b)
-			}
+			return both(c.intv(e.X), c.intv(e.Y), func(a, b int64) (int64, bool) { return intArith(op, a, b) })
 		case sema.KFloat:
-			x := c.floatv(id)
-			return func(f *frames) (int64, bool) {
-				v, ok := x(f)
-				return int64(v), ok
-			}
+			return apply(c.floatv(id), func(v float64) (int64, bool) { return int64(v), true })
 		}
 	case ir.XNeg:
 		if e.Kind == sema.KInt {
-			x := c.intv(e.X)
-			return func(f *frames) (int64, bool) {
-				v, ok := x(f)
-				return -v, ok
-			}
+			return apply(c.intv(e.X), func(v int64) (int64, bool) { return -v, true })
 		}
 	case ir.XCond:
-		cond, then, els := c.boolv(e.X), c.intv(e.Y), c.intv(e.Z)
-		return func(f *frames) (int64, bool) {
-			b, ok := cond(f)
-			if !ok {
-				return 0, false
-			}
-			if b {
-				return then(f)
-			}
-			return els(f)
-		}
+		return choose(c.boolv(e.X), c.intv(e.Y), c.intv(e.Z))
 	}
 	if c.isRaw(id) && e.Kind != sema.KInvalid {
 		raw := c.raw(id)
@@ -628,22 +536,14 @@ func (c *compiler) intv(id ir.ExprID) intFn {
 			return toInt(fromValue(v))
 		}
 	}
-	d := c.dyn(id)
-	return func(f *frames) (int64, bool) {
-		v, ok := d(f)
-		if !ok {
-			return 0, false
-		}
-		return toInt(v)
-	}
+	return apply(c.dyn(id), toInt)
 }
 
 // uintv compiles a term of kind KUint or KIP.
 func (c *compiler) uintv(id ir.ExprID) uintFn {
 	e := &c.p.Exprs[id]
 	if e.Op == ir.XConst {
-		u := e.Val.U
-		return func(*frames) (uint64, bool) { return u, true }
+		return constant(e.Val.U, true)
 	}
 	if c.isRaw(id) {
 		raw := c.raw(id)
@@ -661,11 +561,7 @@ func (c *compiler) uintv(id ir.ExprID) uintFn {
 			return fromValue(v).u, true
 		}
 	}
-	d := c.dyn(id)
-	return func(f *frames) (uint64, bool) {
-		v, ok := d(f)
-		return v.u, ok
-	}
+	return apply(c.dyn(id), func(v dyn) (uint64, bool) { return v.u, true })
 }
 
 // floatv compiles a numeric term converted to float64 as the evaluator's
@@ -674,84 +570,49 @@ func (c *compiler) floatv(id ir.ExprID) floatFn {
 	e := &c.p.Exprs[id]
 	switch e.Op {
 	case ir.XConst:
-		v := asFloat(fromV(e.Val))
-		return func(*frames) (float64, bool) { return v, true }
+		return constant(asFloat(fromV(e.Val)), true)
 	case ir.XBinary:
-		if e.Kind == sema.KFloat {
-			l, r, op := c.floatv(e.X), c.floatv(e.Y), e.BinOp
-			return func(f *frames) (float64, bool) {
-				a, ok := l(f)
-				if !ok {
-					return 0, false
-				}
-				b, ok := r(f)
-				if !ok {
-					return 0, false
-				}
-				return floatArith(op, a, b)
-			}
+		if op := e.BinOp; e.Kind == sema.KFloat {
+			return both(c.floatv(e.X), c.floatv(e.Y), func(a, b float64) (float64, bool) { return floatArith(op, a, b) })
 		}
 	case ir.XNeg:
 		if e.Kind == sema.KFloat {
-			x := c.floatv(e.X)
-			return func(f *frames) (float64, bool) {
-				v, ok := x(f)
-				return -v, ok
-			}
+			return apply(c.floatv(e.X), func(v float64) (float64, bool) { return -v, true })
 		}
 	}
 	if c.isRaw(id) {
-		raw := c.raw(id)
-		return func(f *frames) (float64, bool) {
-			v, ok := raw(f)
-			if !ok {
-				return 0, false
-			}
+		return apply(c.raw(id), func(v value.Value) (float64, bool) {
 			if x, isFloat := v.(*value.Float); isFloat {
 				return x.Val, true
 			}
 			return asFloat(fromValue(v)), true
-		}
+		})
 	}
-	d := c.dyn(id)
-	return func(f *frames) (float64, bool) {
-		v, ok := d(f)
-		return asFloat(v), ok
-	}
+	return apply(c.dyn(id), func(v dyn) (float64, bool) { return asFloat(v), true })
 }
 
 // strv compiles a term of kind KString.
 func (c *compiler) strv(id ir.ExprID) strFn {
 	e := &c.p.Exprs[id]
 	if e.Op == ir.XConst {
-		s := e.Val.S
-		return func(*frames) (string, bool) { return s, true }
+		return constant(e.Val.S, true)
 	}
 	if c.isRaw(id) {
-		raw := c.raw(id)
-		return func(f *frames) (string, bool) {
-			v, ok := raw(f)
-			if !ok {
-				return "", false
-			}
+		return apply(c.raw(id), func(v value.Value) (string, bool) {
 			if x, isStr := v.(*value.Str); isStr {
 				return x.Val, true
 			}
 			return fromValue(v).s, true
-		}
+		})
 	}
-	d := c.dyn(id)
-	return func(f *frames) (string, bool) {
-		v, ok := d(f)
-		return v.s, ok
-	}
+	return apply(c.dyn(id), func(v dyn) (string, bool) { return v.s, true })
 }
 
 // call compiles a function call: the depth limit, the arguments evaluated
 // into a new window above the caller's, and the body run in it.
 func (c *compiler) call(e *ir.Expr) dynFn {
 	if e.Func == ir.None || len(e.Args) != c.funcs[e.Func].params {
-		return failDyn
+		return fail[dyn]
 	}
 	fn := c.funcs[e.Func]
 	args := make([]dynFn, len(e.Args))
@@ -932,28 +793,28 @@ func compare(l, r dyn) (int64, bool) {
 		rs, rok := asString(r)
 		switch {
 		case lok && rok:
-			return cmp3(ls, rs), true
+			return cmp3(ls, rs)
 		case l.k == sema.KEnum && rok:
-			return cmp3(l.s, rs), true
+			return cmp3(l.s, rs)
 		case r.k == sema.KEnum && lok:
-			return cmp3(ls, r.s), true
+			return cmp3(ls, r.s)
 		}
 		return 0, false
 	}
 	if l.k == sema.KBool && r.k == sema.KBool {
-		return cmp3(l.i, r.i), true
+		return cmp3(l.i, r.i)
 	}
 	if !l.k.Numeric() || !r.k.Numeric() {
 		return 0, false
 	}
 	if l.k == sema.KFloat || r.k == sema.KFloat {
-		return cmp3(asFloat(l), asFloat(r)), true
+		return cmp3(asFloat(l), asFloat(r))
 	}
 	lBig := l.k == sema.KUint && l.u > math.MaxInt64
 	rBig := r.k == sema.KUint && r.u > math.MaxInt64
 	switch {
 	case lBig && rBig:
-		return cmp3(l.u, r.u), true
+		return cmp3(l.u, r.u)
 	case lBig:
 		return 1, true
 	case rBig:
@@ -961,7 +822,7 @@ func compare(l, r dyn) (int64, bool) {
 	}
 	li, _ := toInt(l)
 	ri, _ := toInt(r)
-	return cmp3(li, ri), true
+	return cmp3(li, ri)
 }
 
 // equal is expr.EqualV: switched-union case dispatch.
