@@ -321,3 +321,72 @@ func TestKindPredicates(t *testing.T) {
 func TestStringCharComparison(t *testing.T) {
 	checkSrc(t, `Pstruct s { Pstring(:'|':) x : x == "-" || x == '-'; };`)
 }
+
+// TestBindingLayout pins the frame layout the VM binds into (Binding's doc
+// comment): parameters first, then a struct's fields in order, a union's
+// branch slot, a typedef's variable, an array's elts/length/elt, then
+// quantifier variables and function locals; an unbound name is an enum
+// constant, and an if-block local gets a slot of its own.
+func TestBindingLayout(t *testing.T) {
+	d := checkSrc(t, `
+Penum color { red, green };
+Pstruct s_t (:Puint8 k:) { Puint8 a : a > k; ','; color c : c == green; Puint8 green : green > 0; }
+  Pwhere { Pforall (i Pin [0..a] : i < green) };
+Punion u_t (:Puint8 k:) { Puint8 k : k > 0; Pstring(:';':) w : k == 1; };
+Ptypedef Puint8 small_t : small_t x => { x < 10 };
+Parray a_t (:Puint8 n:) { Puint8[] : Psep(',') && Plast (elt == n); } Pwhere { length > 0 && elts[0] < n };
+Puint8 f(Puint8 p) { Puint8 x = p; if (p > 1) { Puint8 x = 2; x = x + 1; } x = 4; return x; };
+`)
+	got := map[string][]Binding{}
+	for id, b := range d.Idents {
+		got[id.Name] = append(got[id.Name], b)
+	}
+	want := map[string][]Binding{
+		"a":      {{BindField, 1}},
+		"c":      {{BindField, 2}},
+		"green":  {{BindEnum, 0}, {BindField, 3}},
+		"i":      {{BindForall, 4}},
+		"elt":    {{BindField, 3}},
+		"elts":   {{BindField, 1}},
+		"length": {{BindLength, 2}},
+		"x":      {{BindField, 0}, {BindLocal, 1}, {BindLocal, 2}},
+	}
+	for name, bs := range want {
+		for _, b := range bs {
+			found := false
+			for _, g := range got[name] {
+				found = found || g == b
+			}
+			if !found {
+				t.Errorf("%s: bindings %v, want %v among them", name, got[name], b)
+			}
+		}
+	}
+	// The if-block's x is a second local; the assignment after the block
+	// writes the first.
+	body := d.Funcs["f"].Body
+	inner := body[1].(*dsl.IfStmt).Then
+	for i, st := range []dsl.Stmt{body[0], inner[0], inner[1], body[2]} {
+		if want := []int{1, 2, 2, 1}[i]; d.Locals[st] != want {
+			t.Errorf("statement %d of f writes slot %d, want %d", i, d.Locals[st], want)
+		}
+	}
+	// k: the struct's and the union's parameter, shadowed by the union's
+	// branch of the same name inside that branch's constraint only.
+	kinds := map[Binding]bool{}
+	for _, b := range got["k"] {
+		kinds[b] = true
+	}
+	if !kinds[Binding{BindParam, 0}] || !kinds[Binding{BindField, 1}] {
+		t.Errorf("k: bindings %v, want the parameter (slot 0) and the branch (slot 1)", got["k"])
+	}
+	frames := map[string]int{}
+	for decl, n := range d.Frames {
+		frames[decl.DeclName()] = n
+	}
+	for name, n := range map[string]int{"s_t": 5, "u_t": 2, "small_t": 1, "a_t": 4, "f": 3} {
+		if frames[name] != n {
+			t.Errorf("frame of %s = %d, want %d", name, frames[name], n)
+		}
+	}
+}
